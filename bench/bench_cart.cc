@@ -7,7 +7,9 @@
 /// threshold is a ParamPack slot, so one compiled artifact serves all
 /// batches of the same shape. Benchmarked: one node batch via LMFAO
 /// (one-shot, prepared-execute-only, and cold-compile) versus one pass over
-/// the materialized join, and full-tree training with the plan cache.
+/// the materialized join, and full-tree training with the plan cache, where
+/// only the nodes whose moments cannot be derived from a parent and a
+/// sibling evaluate a batch (`node_batches`).
 
 #include <benchmark/benchmark.h>
 
@@ -20,6 +22,22 @@ namespace lmfao {
 namespace {
 
 constexpr int64_t kRows = 100000;
+
+/// Forwards to another provider and counts the node batches it evaluates:
+/// leaves and right children whose moments are derived run none.
+class CountingProvider : public CartAggregateProvider {
+ public:
+  explicit CountingProvider(CartAggregateProvider* inner) : inner_(inner) {}
+  StatusOr<std::vector<QueryResult>> EvaluateBatch(
+      const QueryBatch& batch, const ParamPack& params) override {
+    ++calls;
+    return inner_->EvaluateBatch(batch, params);
+  }
+  int calls = 0;
+
+ private:
+  CartAggregateProvider* inner_;
+};
 
 CartOptions BenchCartOptions() {
   CartOptions options;
@@ -145,23 +163,28 @@ BENCHMARK(BM_Cart_DepthTwoNodeBatch_Lmfao)
     ->MinTime(2.0);
 
 /// Full training on one long-lived engine: parameterized node batches +
-/// the structural plan cache mean same-shape nodes (and every retrain)
-/// reuse compiled artifacts — plan_cache_hits counts the saved compiles.
+/// the structural plan cache mean same-shape node batches (and every
+/// retrain) reuse compiled artifacts — plan_cache_hits counts the saved
+/// compiles, node_batches the provider calls of one tree.
 void BM_Cart_FullTree_Lmfao(benchmark::State& state) {
   RetailerData& db = bench::Retailer(kRows);
   const FeatureSet features = bench::RetailerFeatures(db);
   CartTrainer trainer(features, &db.catalog, BenchCartOptions());
   Engine engine(&db.catalog, &db.tree, EngineOptions{});
-  LmfaoCartProvider provider(&engine);
+  LmfaoCartProvider lmfao(&engine);
   int nodes = 0;
+  int node_batches = 0;
   for (auto _ : state) {
+    CountingProvider provider(&lmfao);
     auto tree = trainer.Train(&provider);
     LMFAO_CHECK(tree.ok());
     nodes = tree->num_nodes;
+    node_batches = provider.calls;
     benchmark::DoNotOptimize(tree);
   }
   const Engine::PlanCacheStats cache = engine.plan_cache_stats();
   state.counters["tree_nodes"] = nodes;
+  state.counters["node_batches"] = node_batches;
   state.counters["plan_cache_hits"] = static_cast<double>(cache.hits);
   state.counters["plan_cache_shapes"] = static_cast<double>(cache.entries);
 }
@@ -177,15 +200,19 @@ void BM_Cart_FullTree_LmfaoColdCache(benchmark::State& state) {
   const FeatureSet features = bench::RetailerFeatures(db);
   CartTrainer trainer(features, &db.catalog, BenchCartOptions());
   int nodes = 0;
+  int node_batches = 0;
   for (auto _ : state) {
     Engine engine(&db.catalog, &db.tree, EngineOptions{});
-    LmfaoCartProvider provider(&engine);
+    LmfaoCartProvider lmfao(&engine);
+    CountingProvider provider(&lmfao);
     auto tree = trainer.Train(&provider);
     LMFAO_CHECK(tree.ok());
     nodes = tree->num_nodes;
+    node_batches = provider.calls;
     benchmark::DoNotOptimize(tree);
   }
   state.counters["tree_nodes"] = nodes;
+  state.counters["node_batches"] = node_batches;
 }
 BENCHMARK(BM_Cart_FullTree_LmfaoColdCache)
     ->Unit(benchmark::kMillisecond)

@@ -1,8 +1,10 @@
 /// \file decision_tree.cpp
-/// \brief CART regression tree over the Retailer join (Section 3): every
-/// tree node evaluates one batch of SUM(1)/SUM(Y)/SUM(Y^2) aggregates under
+/// \brief CART regression tree over the Retailer join (Section 3): a tree
+/// node is evaluated by one batch of SUM(1)/SUM(Y)/SUM(Y^2) aggregates under
 /// threshold conditions — thousands of aggregates per node, all pushed
-/// through LMFAO without materializing the join.
+/// through LMFAO without materializing the join. Leaves and most right
+/// children need no batch: their moments follow from their parent's and
+/// their sibling's.
 ///
 /// Run: ./decision_tree [num_inventory] [max_depth]
 
@@ -18,6 +20,21 @@
 using namespace lmfao;
 
 namespace {
+
+/// Forwards node batches to another provider and counts them.
+class CountingProvider : public CartAggregateProvider {
+ public:
+  explicit CountingProvider(CartAggregateProvider* inner) : inner_(inner) {}
+  StatusOr<std::vector<QueryResult>> EvaluateBatch(
+      const QueryBatch& batch, const ParamPack& params) override {
+    ++calls;
+    return inner_->EvaluateBatch(batch, params);
+  }
+  int calls = 0;
+
+ private:
+  CartAggregateProvider* inner_;
+};
 
 void PrintTree(const Catalog& catalog, const CartNode* node, int depth) {
   for (int i = 0; i < depth; ++i) std::printf("  ");
@@ -61,16 +78,18 @@ int main(int argc, char** argv) {
               trainer.NodeAggregateCount());
 
   Engine engine(&db.catalog, &db.tree, EngineOptions{});
-  LmfaoCartProvider provider(&engine);
+  LmfaoCartProvider lmfao(&engine);
+  CountingProvider provider(&lmfao);
   Timer timer;
   auto tree_or = trainer.Train(&provider);
   if (!tree_or.ok()) {
     std::fprintf(stderr, "%s\n", tree_or.status().ToString().c_str());
     return 1;
   }
-  std::printf("trained %d nodes (depth %d) in %.1f ms\n",
-              tree_or->num_nodes, tree_or->depth, timer.ElapsedMillis());
-  // Node batches are parameterized, so every node whose path shape was
+  std::printf("trained %d nodes (depth %d) with %d node batches in %.1f ms\n",
+              tree_or->num_nodes, tree_or->depth, provider.calls,
+              timer.ElapsedMillis());
+  // Node batches are parameterized, so every batch whose path shape was
   // seen before executes against a cached compiled artifact.
   const Engine::PlanCacheStats cache = engine.plan_cache_stats();
   std::printf(

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <set>
+#include <shared_mutex>
 
 #include "baseline/naive_engine.h"
 
@@ -46,28 +48,37 @@ StatusOr<std::vector<QueryResult>> ScanCartProvider::EvaluateBatch(
   return EvaluateBatchSharedScan(*joined_, bound);
 }
 
+namespace {
+
+/// The column holding `attr` in the base relation that owns it: a
+/// feature's observed values need no join.
+const Column* FeatureColumn(const Catalog& catalog, AttrId attr) {
+  for (RelationId r = 0; r < catalog.num_relations(); ++r) {
+    const int col = catalog.relation(r).ColumnIndex(attr);
+    if (col >= 0) return &catalog.relation(r).column(col);
+  }
+  return nullptr;
+}
+
+}  // namespace
+
 CartTrainer::CartTrainer(const FeatureSet& features, const Catalog* catalog,
                          CartOptions options)
     : features_(features), catalog_(catalog), options_(options) {
-  // Threshold candidates from the base relations (no join needed: a
-  // feature's observed values live in the relation that owns it).
-  auto column_of = [catalog](AttrId attr) -> const Column* {
-    for (RelationId r = 0; r < catalog->num_relations(); ++r) {
-      const int col = catalog->relation(r).ColumnIndex(attr);
-      if (col >= 0) return &catalog->relation(r).column(col);
-    }
-    return nullptr;
-  };
   for (AttrId attr : features_.continuous) {
     std::vector<double> thresholds;
-    const Column* col = column_of(attr);
-    if (col != nullptr && col->size() > 0) {
-      double lo = col->AsDouble(0);
-      double hi = lo;
-      for (size_t i = 1; i < col->size(); ++i) {
-        lo = std::min(lo, col->AsDouble(i));
-        hi = std::max(hi, col->AsDouble(i));
-      }
+    const Column* col = FeatureColumn(*catalog, attr);
+    // A NaN compares false with everything, so once it seeds min or max it
+    // sticks. Train rejects NaN columns; here it must not spoil the range.
+    double lo = std::numeric_limits<double>::infinity();
+    double hi = -lo;
+    for (size_t i = 0; col != nullptr && i < col->size(); ++i) {
+      const double x = col->AsDouble(i);
+      if (std::isnan(x)) continue;
+      lo = std::min(lo, x);
+      hi = std::max(hi, x);
+    }
+    if (lo <= hi) {
       for (int t = 1; t <= options_.num_thresholds; ++t) {
         thresholds.push_back(
             lo + (hi - lo) * static_cast<double>(t) /
@@ -78,7 +89,7 @@ CartTrainer::CartTrainer(const FeatureSet& features, const Catalog* catalog,
   }
   for (AttrId attr : features_.categorical) {
     std::set<int64_t> values;
-    const Column* col = column_of(attr);
+    const Column* col = FeatureColumn(*catalog, attr);
     if (col != nullptr) {
       values.insert(col->ints().begin(), col->ints().end());
     }
@@ -164,61 +175,83 @@ double ScaledVariance(double count, double sum, double sum2) {
   return sum2 - sum * sum / count;
 }
 
-/// Reads the 3-slot payload of a no-group-by query result.
-void ReadMoments(const QueryResult& r, double* count, double* sum,
-                 double* sum2) {
-  const double* p = r.data.Lookup(TupleKey());
-  *count = p == nullptr ? 0.0 : p[0];
-  *sum = p == nullptr ? 0.0 : p[1];
-  *sum2 = p == nullptr ? 0.0 : p[2];
-}
-
 }  // namespace
 
-Status CartTrainer::GrowNode(CartAggregateProvider* provider,
-                             const std::vector<CartCondition>& path,
-                             int depth, CartNode* node, int* num_nodes,
-                             int* max_depth) {
-  *max_depth = std::max(*max_depth, depth);
+bool CartTrainer::CanSplit(double count, int depth) const {
+  return depth < options_.max_depth && count >= 2 * options_.min_leaf_count;
+}
+
+Status CartTrainer::CheckNoNaN() const {
+  std::shared_lock<std::shared_mutex> lock(catalog_->data_mutex());
+  for (AttrId attr : features_.continuous) {
+    const Column* col = FeatureColumn(*catalog_, attr);
+    if (col == nullptr || col->type() != AttrType::kDouble) continue;
+    for (double x : col->doubles()) {
+      if (std::isnan(x)) {
+        return Status::InvalidArgument(
+            "CART: continuous feature '" + catalog_->attr(attr).name +
+            "' holds NaN; its rows would take neither side of a split");
+      }
+    }
+  }
+  return Status::OK();
+}
+
+StatusOr<std::vector<double>> CartTrainer::EvaluateMoments(
+    CartAggregateProvider* provider,
+    const std::vector<CartCondition>& path) const {
   const CartNodeBatch node_batch = BuildNodeBatch(path);
   LMFAO_ASSIGN_OR_RETURN(
       std::vector<QueryResult> results,
       provider->EvaluateBatch(node_batch.batch, node_batch.params));
-
-  double total_count, total_sum, total_sum2;
-  ReadMoments(results[0], &total_count, &total_sum, &total_sum2);
-  node->count = total_count;
-  node->prediction = total_count > 0 ? total_sum / total_count : 0.0;
-  node->variance = total_count > 0
-                       ? ScaledVariance(total_count, total_sum, total_sum2) /
-                             total_count
-                       : 0.0;
-  if (depth >= options_.max_depth ||
-      total_count < 2 * options_.min_leaf_count) {
-    return Status::OK();
+  std::vector<double> moments(3 * results.size(), 0.0);
+  for (size_t q = 0; q < results.size(); ++q) {
+    const double* p = results[q].data.Lookup(TupleKey());
+    if (p != nullptr) std::copy(p, p + 3, moments.begin() + 3 * q);
   }
+  return moments;
+}
+
+Status CartTrainer::GrowNode(CartAggregateProvider* provider,
+                             const std::vector<CartCondition>& path,
+                             int depth, const Moments& totals,
+                             std::vector<double>* moments, CartNode* node,
+                             int* num_nodes, int* max_depth) {
+  *max_depth = std::max(*max_depth, depth);
+  const double total_scaled_var =
+      ScaledVariance(totals.count, totals.sum, totals.sum2);
+  node->count = totals.count;
+  node->prediction = totals.count > 0 ? totals.sum / totals.count : 0.0;
+  node->variance = totals.count > 0 ? total_scaled_var / totals.count : 0.0;
+  if (!CanSplit(totals.count, depth)) return Status::OK();
+  if (moments->empty()) {
+    LMFAO_ASSIGN_OR_RETURN(*moments, EvaluateMoments(provider, path));
+  }
+  auto moments_at = [&](size_t q) {
+    return Moments{(*moments)[3 * q], (*moments)[3 * q + 1],
+                   (*moments)[3 * q + 2]};
+  };
 
   // Scan all candidates; queries after index 0 follow BuildNodeBatch order.
-  SplitCandidate best;
-  best.gain = options_.min_variance_gain;
-  const double total_scaled_var =
-      ScaledVariance(total_count, total_sum, total_sum2);
+  CartCondition best_condition;
+  size_t best_query = 0;
+  double best_gain = options_.min_variance_gain;
   size_t qi = 1;
   auto consider = [&](const CartCondition& cond) {
-    double c, s, s2;
-    ReadMoments(results[qi], &c, &s, &s2);
-    ++qi;
-    const double rc = total_count - c;
-    if (c < options_.min_leaf_count || rc < options_.min_leaf_count) return;
-    const double left_var = ScaledVariance(c, s, s2);
-    const double right_var =
-        ScaledVariance(rc, total_sum - s, total_sum2 - s2);
+    const Moments left = moments_at(qi++);
+    const double rc = totals.count - left.count;
+    if (left.count < options_.min_leaf_count ||
+        rc < options_.min_leaf_count) {
+      return;
+    }
+    const double left_var = ScaledVariance(left.count, left.sum, left.sum2);
+    const double right_var = ScaledVariance(rc, totals.sum - left.sum,
+                                            totals.sum2 - left.sum2);
     const double gain = total_scaled_var - left_var - right_var;
-    if (gain > best.gain) {
-      best.condition = cond;
-      best.gain = gain;
-      best.left_count = c;
-      best.right_count = rc;
+    if (gain > best_gain) {
+      best_condition = cond;
+      best_query = qi - 1;
+      best_gain = gain;
     }
   };
   for (size_t f = 0; f < features_.continuous.size(); ++f) {
@@ -234,37 +267,50 @@ Status CartTrainer::GrowNode(CartAggregateProvider* provider,
                              static_cast<double>(v)});
     }
   }
-  if (best.gain <= options_.min_variance_gain) return Status::OK();
+  if (best_query == 0) return Status::OK();
 
   node->is_leaf = false;
-  node->split = best.condition;
+  node->split = best_condition;
   node->left = std::make_unique<CartNode>();
   node->right = std::make_unique<CartNode>();
   *num_nodes += 2;
 
-  std::vector<CartCondition> left_path = path;
-  left_path.push_back(best.condition);
-  LMFAO_RETURN_NOT_OK(GrowNode(provider, left_path, depth + 1,
-                               node->left.get(), num_nodes, max_depth));
+  const Moments left_totals = moments_at(best_query);
+  const Moments right_totals{totals.count - left_totals.count,
+                             totals.sum - left_totals.sum,
+                             totals.sum2 - left_totals.sum2};
+  std::vector<CartCondition> child_path = path;
+  child_path.push_back(best_condition);
+  std::vector<double> child_moments;
+  LMFAO_RETURN_NOT_OK(GrowNode(provider, child_path, depth + 1, left_totals,
+                               &child_moments, node->left.get(), num_nodes,
+                               max_depth));
 
-  // Complement condition for the right child.
-  CartCondition complement = best.condition;
-  complement.op = complement.op == FunctionKind::kIndicatorLe
-                      ? FunctionKind::kIndicatorGt
-                      : FunctionKind::kIndicatorNe;
-  std::vector<CartCondition> right_path = path;
-  right_path.push_back(complement);
-  LMFAO_RETURN_NOT_OK(GrowNode(provider, right_path, depth + 1,
-                               node->right.get(), num_nodes, max_depth));
-  return Status::OK();
+  // Every row satisfies exactly one of a split and its complement, and SUM
+  // is linear: the right child's moments for every query are this node's
+  // minus the left child's. Derived in place; when the left child ran no
+  // batch, the right child evaluates its own if it can split.
+  for (size_t i = 0; i < child_moments.size(); ++i) {
+    child_moments[i] = (*moments)[i] - child_moments[i];
+  }
+  child_path.back().op = best_condition.op == FunctionKind::kIndicatorLe
+                             ? FunctionKind::kIndicatorGt
+                             : FunctionKind::kIndicatorNe;
+  return GrowNode(provider, child_path, depth + 1, right_totals,
+                  &child_moments, node->right.get(), num_nodes, max_depth);
 }
 
 StatusOr<DecisionTree> CartTrainer::Train(CartAggregateProvider* provider) {
+  LMFAO_RETURN_NOT_OK(CheckNoNaN());
+  // The root is the one node whose totals come from its own batch.
+  LMFAO_ASSIGN_OR_RETURN(std::vector<double> moments,
+                         EvaluateMoments(provider, {}));
+  const Moments totals{moments[0], moments[1], moments[2]};
   DecisionTree tree;
   tree.root = std::make_unique<CartNode>();
   tree.num_nodes = 1;
-  LMFAO_RETURN_NOT_OK(GrowNode(provider, {}, 0, tree.root.get(),
-                               &tree.num_nodes, &tree.depth));
+  LMFAO_RETURN_NOT_OK(GrowNode(provider, {}, 0, totals, &moments,
+                               tree.root.get(), &tree.num_nodes, &tree.depth));
   return tree;
 }
 

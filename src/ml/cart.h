@@ -7,6 +7,14 @@
 /// indicators, so the whole node evaluation is one batch of aggregate
 /// queries over D — exactly the workload LMFAO accelerates (the paper
 /// reports 3,141 aggregates per node for Retailer).
+///
+/// Not every node evaluates a batch. SUM is linear and every row satisfies
+/// exactly one of a split and its complement, so a child's totals are its
+/// parent's moments for the chosen candidate (left) or the parent's totals
+/// minus those (right), and a right child's candidate moments are its
+/// parent's minus its left sibling's. Only the root, left children that can
+/// split, and right children that can split but whose left sibling ran no
+/// batch call the provider.
 
 #ifndef LMFAO_ML_CART_H_
 #define LMFAO_ML_CART_H_
@@ -140,7 +148,10 @@ class CartTrainer {
   CartTrainer(const FeatureSet& features, const Catalog* catalog,
               CartOptions options = {});
 
-  /// Trains a tree using `provider` for every node's aggregate batch.
+  /// Trains a tree, using `provider` for the node batches that cannot be
+  /// derived from a parent's and a sibling's moments. Fails with
+  /// InvalidArgument when a continuous feature column holds a NaN (its rows
+  /// would satisfy neither side of a threshold split).
   StatusOr<DecisionTree> Train(CartAggregateProvider* provider);
 
   /// Builds the aggregate batch of one node (exposed for the batch-size
@@ -152,15 +163,33 @@ class CartTrainer {
   int NodeAggregateCount() const;
 
  private:
-  struct SplitCandidate {
-    CartCondition condition;
-    double gain = 0.0;
-    double left_count = 0.0;
-    double right_count = 0.0;
+  /// (count, sum, sum of squares) of the label over one set of rows.
+  struct Moments {
+    double count = 0.0;
+    double sum = 0.0;
+    double sum2 = 0.0;
   };
 
+  /// Whether a node at `depth` holding `count` rows may split.
+  bool CanSplit(double count, int depth) const;
+
+  /// InvalidArgument naming the first continuous feature holding a NaN.
+  Status CheckNoNaN() const;
+
+  /// Evaluates the node batch of `path`; returns its moments flattened,
+  /// three per query in BuildNodeBatch order (node total first).
+  StatusOr<std::vector<double>> EvaluateMoments(
+      CartAggregateProvider* provider,
+      const std::vector<CartCondition>& path) const;
+
+  /// Grows `node`, whose rows have `totals`. `*moments` is the node's
+  /// flattened batch moments when they are already known (the root's, or a
+  /// right child's derived from its parent and sibling), empty otherwise;
+  /// a node that can split and has none evaluates its batch. On return
+  /// `*moments` holds the node's moments whenever it could split.
   Status GrowNode(CartAggregateProvider* provider,
                   const std::vector<CartCondition>& path, int depth,
+                  const Moments& totals, std::vector<double>* moments,
                   CartNode* node, int* num_nodes, int* max_depth);
 
   /// Candidate thresholds per continuous feature (from column min/max).

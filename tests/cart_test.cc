@@ -5,6 +5,8 @@
 #include "ml/cart.h"
 
 #include <cmath>
+#include <functional>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -14,6 +16,26 @@
 
 namespace lmfao {
 namespace {
+
+/// Forwards to another provider and counts the node batches it evaluates.
+class CountingProvider : public CartAggregateProvider {
+ public:
+  explicit CountingProvider(CartAggregateProvider* inner) : inner_(inner) {}
+  StatusOr<std::vector<QueryResult>> EvaluateBatch(
+      const QueryBatch& batch, const ParamPack& params) override {
+    ++calls;
+    return inner_->EvaluateBatch(batch, params);
+  }
+  int calls = 0;
+
+ private:
+  CartAggregateProvider* inner_;
+};
+
+int InternalNodes(const CartNode* node) {
+  if (node->is_leaf) return 0;
+  return 1 + InternalNodes(node->left.get()) + InternalNodes(node->right.get());
+}
 
 class CartTest : public ::testing::Test {
  protected:
@@ -238,14 +260,151 @@ TEST_F(CartTest, LeafStatisticsConsistent) {
   LmfaoCartProvider provider(&engine);
   auto tree = trainer.Train(&provider);
   ASSERT_TRUE(tree.ok());
-  // Children counts sum to the parent's count.
+  // Children counts and label sums add up to the parent's.
+  auto sum = [](const CartNode* node) {
+    return node->prediction * node->count;
+  };
   std::function<void(const CartNode*)> check = [&](const CartNode* node) {
     if (node->is_leaf) return;
     EXPECT_NEAR(node->left->count + node->right->count, node->count, 1e-6);
+    EXPECT_NEAR(sum(node->left.get()) + sum(node->right.get()), sum(node),
+                1e-9 * std::max(1.0, std::abs(sum(node))));
     check(node->left.get());
     check(node->right.get());
   };
   check(tree->root.get());
+}
+
+TEST_F(CartTest, EveryNodeMatchesADirectFilterOfItsPath) {
+  // Child totals and right-sibling moments are derived by subtraction;
+  // each node's count and mean must still equal those of the joined rows
+  // its root-to-node path selects, on both sides and at every depth.
+  CartOptions options;
+  options.max_depth = 3;
+  CartTrainer trainer(features_, &data_->catalog, options);
+  Engine engine(&data_->catalog, &data_->tree, EngineOptions{});
+  LmfaoCartProvider provider(&engine);
+  auto tree = trainer.Train(&provider);
+  ASSERT_TRUE(tree.ok()) << tree.status().ToString();
+  ASSERT_EQ(tree->depth, 3);
+
+  const int label_col = joined_->ColumnIndex(features_.label);
+  int checked = 0;
+  std::function<void(const CartNode*, std::vector<CartCondition>)> check =
+      [&](const CartNode* node, std::vector<CartCondition> path) {
+        double count = 0.0;
+        double sum = 0.0;
+        for (size_t row = 0; row < joined_->num_rows(); ++row) {
+          bool selected = true;
+          for (const CartCondition& c : path) {
+            const double x =
+                joined_->column(joined_->ColumnIndex(c.attr)).AsDouble(row);
+            selected &= c.ToFactor().fn.Eval(x) > 0.5;
+          }
+          if (!selected) continue;
+          count += 1.0;
+          sum += joined_->column(label_col).AsDouble(row);
+        }
+        ASSERT_GT(count, 0.0);
+        EXPECT_NEAR(node->count, count, 1e-9 * count);
+        const double mean = sum / count;
+        EXPECT_NEAR(node->prediction, mean,
+                    1e-9 * std::max(1.0, std::abs(mean)));
+        ++checked;
+        if (node->is_leaf) return;
+        path.push_back(node->split);
+        check(node->left.get(), path);
+        path.back().op = node->split.op == FunctionKind::kIndicatorLe
+                             ? FunctionKind::kIndicatorGt
+                             : FunctionKind::kIndicatorNe;
+        check(node->right.get(), path);
+      };
+  check(tree->root.get(), {});
+  EXPECT_EQ(checked, tree->num_nodes);
+}
+
+TEST_F(CartTest, LeavesAndRightChildrenRunNoNodeBatch) {
+  Engine engine(&data_->catalog, &data_->tree, EngineOptions{});
+  LmfaoCartProvider lmfao_provider(&engine);
+  auto train = [&](int max_depth, int* calls) {
+    CartOptions options;
+    options.max_depth = max_depth;
+    CartTrainer trainer(features_, &data_->catalog, options);
+    CountingProvider counting(&lmfao_provider);
+    auto tree = trainer.Train(&counting);
+    EXPECT_TRUE(tree.ok()) << tree.status().ToString();
+    *calls = counting.calls;
+    return tree;
+  };
+
+  // A stump: both children sit at max_depth, so only the root evaluates.
+  int calls = 0;
+  auto stump = train(1, &calls);
+  ASSERT_TRUE(stump.ok());
+  ASSERT_EQ(stump->num_nodes, 3);
+  EXPECT_EQ(calls, 1);
+
+  // A full depth-2 tree: the root and its left child evaluate; the right
+  // child's moments are the root's minus the left child's.
+  auto full = train(2, &calls);
+  ASSERT_TRUE(full.ok());
+  ASSERT_EQ(full->num_nodes, 7);
+  EXPECT_EQ(calls, 2);
+
+  for (int depth = 1; depth <= 4; ++depth) {
+    auto tree = train(depth, &calls);
+    ASSERT_TRUE(tree.ok());
+    EXPECT_LE(calls, InternalNodes(tree->root.get())) << "depth " << depth;
+    EXPECT_LT(calls, tree->num_nodes) << "depth " << depth;
+  }
+}
+
+TEST_F(CartTest, ThresholdsSkipNaNAndTrainRejectsIt) {
+  // A NaN in row 0 used to stick as the column's min and max, turning
+  // every threshold of the feature into NaN.
+  CartOptions options;
+  options.num_thresholds = 4;
+  const int clean_count =
+      CartTrainer(features_, &data_->catalog, options).NodeAggregateCount();
+  Relation& oil = data_->catalog.mutable_relation(data_->oil);
+  oil.mutable_column(oil.ColumnIndex(data_->price)).mutable_doubles()[0] =
+      std::numeric_limits<double>::quiet_NaN();
+  CartTrainer trainer(features_, &data_->catalog, options);
+  EXPECT_EQ(trainer.NodeAggregateCount(), clean_count);
+  const CartNodeBatch node = trainer.BuildNodeBatch({});
+  for (ParamId p : node.batch.RequiredParams()) {
+    EXPECT_TRUE(std::isfinite(node.params.Get(p))) << "slot " << p;
+  }
+
+  // NaN rows satisfy neither `x <= t` nor `x > t`, so training refuses
+  // the column instead of growing children that lose rows.
+  ScanCartProvider provider(joined_.get());
+  auto tree = trainer.Train(&provider);
+  ASSERT_FALSE(tree.ok());
+  EXPECT_EQ(tree.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(tree.status().message().find("price"), std::string::npos)
+      << tree.status().ToString();
+}
+
+TEST_F(CartTest, TrainRejectsNaNAppendedAfterConstruction) {
+  CartOptions options;
+  options.max_depth = 1;
+  CartTrainer trainer(features_, &data_->catalog, options);
+  Engine engine(&data_->catalog, &data_->tree, EngineOptions{});
+  LmfaoCartProvider provider(&engine);
+  ASSERT_TRUE(trainer.Train(&provider).ok());
+
+  ASSERT_TRUE(data_->catalog
+                  .AppendRows(data_->oil,
+                              {{Value::Int(0),
+                                Value::Double(std::numeric_limits<
+                                              double>::quiet_NaN())}})
+                  .ok());
+  auto tree = trainer.Train(&provider);
+  ASSERT_FALSE(tree.ok());
+  EXPECT_EQ(tree.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(tree.status().message().find("price"), std::string::npos)
+      << tree.status().ToString();
 }
 
 TEST(CartRetailerTest, NodeAggregateCountScale) {
