@@ -1,19 +1,18 @@
 /// \file bench_dist.cc
-/// \brief Sharded distributed execution: the shard sweep over the Retailer
-/// covariance batch (Arg = shard count).
+/// \brief Sharded execution: the shard sweep over the Retailer covariance
+/// batch (Arg = shard count).
 ///
 /// The shards run sequentially in one process, so total execute time is
 /// expected to be roughly flat in the shard count (plus the per-shard
 /// recomputation of groups whose inputs exclude the partitioned relation)
-/// — the number this sweep pins down is the *coordination tax*: merge_ms
-/// plus the exchange volume, which is what a real deployment pays on top
-/// of its workers. The headline acceptance counter is merge_overhead_pct —
-/// coordinator merge time as a fraction of the unsharded execute — with
-/// shard_skew showing how balanced the row-range split is.
+/// — the number this sweep pins down is the *fold tax*: merge_ms, the
+/// MergeAdd time folding the shard results together. The headline
+/// counter is merge_overhead_pct — fold time as a fraction of the
+/// unsharded execute — with shard_skew showing how balanced the
+/// row-range split is.
 
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 
 #include "bench_common.h"
 #include "engine/engine.h"
@@ -47,8 +46,6 @@ void BM_Dist_RetailerCovariance_ShardSweep(benchmark::State& state) {
   state.counters["shards"] = stats.dist_shards;
   state.counters["execute_ms"] = stats.execute_seconds * 1e3;
   state.counters["merge_ms"] = stats.merge_seconds * 1e3;
-  state.counters["exchange_bytes"] =
-      static_cast<double>(stats.exchange_bytes);
   state.counters["shard_skew"] =
       stats.shard_mean_seconds > 0.0
           ? stats.shard_max_seconds / stats.shard_mean_seconds
@@ -63,38 +60,6 @@ BENCHMARK(BM_Dist_RetailerCovariance_ShardSweep)
     ->Arg(2)
     ->Arg(4)
     ->Arg(8)
-    ->Unit(benchmark::kMillisecond)
-    ->MinTime(1.0);
-
-/// The exchange path in isolation: per-shard encode + coordinator decode/
-/// fold amortized over the sweep is hard to read from the end-to-end
-/// numbers, so this variant executes at a fixed shard count while the
-/// per-shard wire volume scales with the group-by arity of the heaviest
-/// query in the batch.
-void BM_Dist_FavoritaExample_ShardSweep(benchmark::State& state) {
-  FavoritaData& db = bench::Favorita(400000);
-  const QueryBatch batch = MakeExampleBatch(db);
-  Engine engine(&db.catalog, &db.tree, EngineOptions{});
-  auto prepared = engine.Prepare(batch);
-  LMFAO_CHECK(prepared.ok());
-
-  const int shards = static_cast<int>(state.range(0));
-  ExecutionStats stats;
-  for (auto _ : state) {
-    auto result = prepared->ExecuteSharded(shards);
-    LMFAO_CHECK(result.ok()) << result.status().ToString();
-    stats = result->stats;
-    benchmark::DoNotOptimize(result);
-  }
-  state.counters["queries"] = batch.size();
-  state.counters["shards"] = stats.dist_shards;
-  state.counters["merge_ms"] = stats.merge_seconds * 1e3;
-  state.counters["exchange_bytes"] =
-      static_cast<double>(stats.exchange_bytes);
-}
-BENCHMARK(BM_Dist_FavoritaExample_ShardSweep)
-    ->Arg(1)
-    ->Arg(4)
     ->Unit(benchmark::kMillisecond)
     ->MinTime(1.0);
 

@@ -86,10 +86,9 @@ uint64_t KeySignature(const std::vector<uint64_t>& key) {
   return h;
 }
 
-}  // namespace
-
-namespace internal {
-
+/// Hash of the bound values of the batch's required parameter slots.
+/// Recorded in BatchResult so ExecuteDelta can verify a base was computed
+/// under the same bindings.
 uint64_t ParamFingerprint(const std::vector<ParamId>& required,
                           const ParamPack& params) {
   uint64_t h = Mix64(0x243f6a88u);
@@ -103,7 +102,7 @@ uint64_t ParamFingerprint(const std::vector<ParamId>& required,
   return h;
 }
 
-}  // namespace internal
+}  // namespace
 
 Engine::Engine(const Catalog* catalog, const JoinTree* tree,
                EngineOptions options)
@@ -301,26 +300,12 @@ Status PreparedBatch::CheckExecutable(const ParamPack& params) const {
 
 StatusOr<BatchResult> PreparedBatch::RunPass(const PassSpec& spec,
                                              const ParamPack& params,
-                                             const ExecLimits& limits) const {
-  Timer total_timer;
+                                             const CancelToken& cancel) const {
   // A failure parked by a void seam during some earlier pass on this
   // thread must not be blamed on this one.
   if (Failpoints::enabled()) Failpoints::ClearParked();
   BatchResult result;
   const CompiledBatch& compiled = artifact_->compiled;
-  result.stats.num_queries = artifact_->num_queries;
-  result.stats.num_views = artifact_->num_views;
-  result.stats.num_aggregates = artifact_->num_aggregates;
-  result.stats.num_groups =
-      static_cast<int>(compiled.grouped.groups.size());
-  // Phase times of the artifact's original compilation; this call itself
-  // pays no compile (the Evaluate wrapper overwrites these two fields with
-  // its measured Prepare cost).
-  result.stats.viewgen_seconds = artifact_->viewgen_seconds;
-  result.stats.grouping_seconds = artifact_->grouping_seconds;
-  result.stats.plan_seconds = artifact_->plan_seconds;
-  result.stats.compile_seconds = 0.0;
-  result.stats.plan_cache_hit = true;
 
   // Snapshots served to this pass are pinned for its whole duration:
   // the engine's sorted cache may prune an epoch while we still read it.
@@ -333,13 +318,8 @@ StatusOr<BatchResult> PreparedBatch::RunPass(const PassSpec& spec,
   ExecBackend backend;
   backend.jit = artifact_->jit.get();
   backend.simd = options_.simd_kernels;
-  // The pass's shared governance token. Stack-owned: every worker the
+  // The token is owned by the caller's stack frame: every worker the
   // context spawns joins before Run returns, so no reference escapes.
-  CancelToken cancel;
-  if (limits.enabled()) {
-    cancel.ArmDeadline(limits.deadline_seconds);
-    cancel.ArmBudget(limits.max_view_bytes);
-  }
   ExecutionContext context(
       compiled.workload, compiled.grouped, compiled.plans,
       options_.scheduler,
@@ -347,20 +327,20 @@ StatusOr<BatchResult> PreparedBatch::RunPass(const PassSpec& spec,
           RelationId node,
           const std::vector<AttrId>& order) -> StatusOr<const Relation*> {
         std::shared_ptr<const Relation> snap;
-        if (node == spec.delta_node) {
+        if (node == spec.slice_node) {
           LMFAO_ASSIGN_OR_RETURN(
-              snap, engine_->SortedDeltaSlice(node, order, spec.delta_lo,
-                                              spec.delta_hi));
+              snap, engine_->SortedDeltaSlice(node, order, spec.slice_lo,
+                                              spec.slice_hi));
         } else {
           LMFAO_ASSIGN_OR_RETURN(
-              snap, engine_->SortedRelationAt(node, order, spec.rows->at(node)));
+              snap, engine_->SortedRelationAt(node, order, spec.rows.at(node)));
         }
         const Relation* raw = snap.get();
         std::lock_guard<std::mutex> lock(pin_set.mu);
         pin_set.pins.push_back(std::move(snap));
         return raw;
       },
-      &params, backend, limits.enabled() ? &cancel : nullptr);
+      &params, backend, &cancel);
   LMFAO_RETURN_NOT_OK(context.Run(&result.stats));
   result.stats.execute_seconds = exec_timer.ElapsedSeconds();
 
@@ -374,7 +354,6 @@ StatusOr<BatchResult> PreparedBatch::RunPass(const PassSpec& spec,
     qr.group_by = compiled.workload.view(out).key;
     LMFAO_ASSIGN_OR_RETURN(qr.data, context.TakeQueryResult(out));
   }
-  result.stats.total_seconds = total_timer.ElapsedSeconds();
   return result;
 }
 
@@ -407,13 +386,17 @@ StatusOr<BatchResult> PreparedBatch::ExecuteAt(const EpochSnapshot& epoch,
         std::to_string(epoch.rows.size()) + " relations, catalog has " +
         std::to_string(engine_->catalog_->num_relations()));
   }
-  PassSpec spec;
-  spec.rows = &epoch;
-  LMFAO_ASSIGN_OR_RETURN(BatchResult result, RunPass(spec, params, limits));
+  Timer total_timer;
+  std::vector<PassSpec> passes(1);
+  passes[0].rows = epoch;
+  BatchResult result;
+  LMFAO_RETURN_NOT_OK(
+      RunPasses(passes, params, limits, /*seam=*/nullptr, &result));
+  result.stats.total_seconds = total_timer.ElapsedSeconds();
   result.epoch = epoch;
   result.artifact_signature = artifact_->signature;
   result.param_fingerprint =
-      internal::ParamFingerprint(artifact_->required_params, params);
+      ParamFingerprint(artifact_->required_params, params);
   return result;
 }
 
@@ -434,7 +417,7 @@ StatusOr<BatchResult> PreparedBatch::ExecuteDelta(const BatchResult& base,
         "(artifact signature mismatch)");
   }
   const uint64_t fingerprint =
-      internal::ParamFingerprint(artifact_->required_params, params);
+      ParamFingerprint(artifact_->required_params, params);
   if (base.param_fingerprint != fingerprint) {
     return Status::InvalidArgument(
         "ExecuteDelta: base result was computed under different parameter "
@@ -450,8 +433,14 @@ StatusOr<BatchResult> PreparedBatch::ExecuteDelta(const BatchResult& base,
 
   Timer total_timer;
   EpochSnapshot target = catalog.SnapshotEpoch();
-  std::vector<RelationId> changed;
+  // Multilinearity: summing, over changed relations c_1 < ... < c_k, the
+  // batch evaluated with c_i served as its appended slice, c_1..c_{i-1} at
+  // their NEW watermarks and c_{i+1}..c_k (and everything unchanged) at the
+  // OLD watermarks telescopes to exactly Q(new) - Q(old).
+  std::vector<PassSpec> passes;
+  EpochSnapshot serve = base.epoch;
   size_t delta_rows = 0;
+  int dirty_groups = 0;
   for (RelationId r = 0; r < catalog.num_relations(); ++r) {
     const size_t old_rows = base.epoch.at(r);
     const size_t new_rows = target.at(r);
@@ -461,67 +450,158 @@ StatusOr<BatchResult> PreparedBatch::ExecuteDelta(const BatchResult& base,
           " shrank below the base result's watermark — a non-append "
           "mutation happened; call Engine::InvalidateCaches and re-execute");
     }
-    if (new_rows > old_rows) {
-      changed.push_back(r);
-      delta_rows += new_rows - old_rows;
+    if (new_rows == old_rows) continue;
+    PassSpec pass;
+    pass.rows = serve;
+    pass.slice_node = r;
+    pass.slice_lo = old_rows;
+    pass.slice_hi = new_rows;
+    passes.push_back(std::move(pass));
+    // Later terms see this relation's new extent.
+    serve.rows[static_cast<size_t>(r)] = new_rows;
+    delta_rows += new_rows - old_rows;
+    for (const GroupPlan& plan : artifact_->compiled.plans) {
+      if (r < 64 && ((plan.source_relation_mask >> r) & 1)) ++dirty_groups;
     }
   }
 
+  // The passes fold into a private copy of the base results, returned only
+  // on full success: a trip (or any failure) leaves the caller's `base`
+  // untouched and able to seed a later retry.
   BatchResult result;
-  result.results = base.results;  // Deep copy: the base stays reusable.
+  result.results = base.results;
+  LMFAO_RETURN_NOT_OK(
+      RunPasses(passes, params, limits, /*seam=*/nullptr, &result));
+  result.stats.delta_execution = true;
+  result.stats.delta_passes = static_cast<int>(passes.size());
+  result.stats.delta_rows = delta_rows;
+  result.stats.delta_dirty_groups = dirty_groups;
+  result.stats.total_seconds = total_timer.ElapsedSeconds();
   result.epoch = std::move(target);
   result.artifact_signature = artifact_->signature;
   result.param_fingerprint = fingerprint;
-  result.stats = base.stats;
-  result.stats.compile_seconds = 0.0;
-  result.stats.plan_cache_hit = true;
-  result.stats.delta_execution = true;
-  result.stats.delta_passes = static_cast<int>(changed.size());
-  result.stats.delta_rows = delta_rows;
-  result.stats.delta_dirty_groups = 0;
-  result.stats.execute_seconds = 0.0;
-  result.stats.groups_jit = 0;
-  result.stats.groups_simd = 0;
-  result.stats.groups_interp = 0;
-  result.stats.limit_trips = 0;
-  result.stats.degraded_groups = 0;
-
-  // Multilinearity: summing, over changed relations c_1 < ... < c_k, the
-  // batch evaluated with c_i served as its appended slice, c_1..c_{i-1} at
-  // their NEW watermarks and c_{i+1}..c_k (and everything unchanged) at the
-  // OLD watermarks telescopes to exactly Q(new) - Q(old).
-  EpochSnapshot serve = base.epoch;
-  const std::vector<GroupPlan>& plans = artifact_->compiled.plans;
-  for (RelationId r : changed) {
-    PassSpec spec;
-    spec.rows = &serve;
-    spec.delta_node = r;
-    spec.delta_lo = base.epoch.at(r);
-    spec.delta_hi = result.epoch.at(r);
-    // Each delta term is one governed pass; a trip (or any failure)
-    // propagates out here, before `result` is returned — the caller's
-    // `base` is untouched and can seed a later retry.
-    LMFAO_ASSIGN_OR_RETURN(BatchResult term, RunPass(spec, params, limits));
-    result.stats.execute_seconds += term.stats.execute_seconds;
-    result.stats.groups_jit += term.stats.groups_jit;
-    result.stats.groups_simd += term.stats.groups_simd;
-    result.stats.groups_interp += term.stats.groups_interp;
-    result.stats.limit_trips += term.stats.limit_trips;
-    result.stats.degraded_groups += term.stats.degraded_groups;
-    for (const GroupPlan& plan : plans) {
-      if (r < 64 && ((plan.source_relation_mask >> r) & 1)) {
-        ++result.stats.delta_dirty_groups;
-      }
-    }
-    for (size_t q = 0; q < result.results.size(); ++q) {
-      result.results[q].data.MergeAdd(term.results[q].data);
-    }
-    serve.rows[static_cast<size_t>(r)] =
-        result.epoch.at(r);  // Later terms see this relation's new extent.
-  }
-  result.stats.DeriveBackend();
-  result.stats.total_seconds = total_timer.ElapsedSeconds();
   return result;
+}
+
+StatusOr<BatchResult> PreparedBatch::ExecuteSharded(
+    int num_shards, const ParamPack& params) const {
+  return ExecuteSharded(num_shards, params, options_.limits);
+}
+
+StatusOr<BatchResult> PreparedBatch::ExecuteSharded(
+    int num_shards, const ParamPack& params, const ExecLimits& limits) const {
+  LMFAO_RETURN_NOT_OK(CheckExecutable(params));
+  Timer total_timer;
+  const Catalog& catalog = *engine_->catalog_;
+  const EpochSnapshot epoch = catalog.SnapshotEpoch();
+
+  // Partition the largest relation some group reads (ties to the lowest
+  // id). The batch is multilinear in it, so the shard results sum to the
+  // whole; a relation outside every group's input closure would instead be
+  // counted once per shard.
+  uint64_t eligible = 0;
+  for (const GroupPlan& plan : artifact_->compiled.plans) {
+    eligible |= plan.source_relation_mask;
+  }
+  RelationId relation = kInvalidRelation;
+  for (RelationId r = 0; r < catalog.num_relations() && r < 64; ++r) {
+    if (((eligible >> r) & 1) == 0) continue;
+    if (relation == kInvalidRelation || epoch.at(r) > epoch.at(relation)) {
+      relation = r;
+    }
+  }
+  if (relation == kInvalidRelation) {
+    return Status::InvalidArgument(
+        "ExecuteSharded: no group plan reads any relation; nothing to "
+        "partition");
+  }
+
+  // Balanced contiguous ranges over [0, rows): the first rows % n shards
+  // take one extra row. An empty relation still runs one (empty) shard.
+  const size_t rows = epoch.at(relation);
+  const size_t n = std::min<size_t>(std::max(num_shards, 1),
+                                    std::max<size_t>(rows, 1));
+  std::vector<PassSpec> passes(n);
+  size_t lo = 0;
+  for (size_t s = 0; s < n; ++s) {
+    passes[s].rows = epoch;
+    passes[s].slice_node = relation;
+    passes[s].slice_lo = lo;
+    lo += rows / n + (s < rows % n ? 1 : 0);
+    passes[s].slice_hi = lo;
+  }
+
+  BatchResult result;
+  std::vector<double> shard_seconds;
+  LMFAO_RETURN_NOT_OK(RunPasses(passes, params, limits, "dist.shard_execute",
+                                &result, &shard_seconds));
+  ExecutionStats& stats = result.stats;
+  stats.dist_execution = true;
+  stats.dist_shards = static_cast<int>(n);
+  stats.dist_relation = relation;
+  for (size_t s = 0; s < n; ++s) {
+    DistShardStats ss;
+    ss.shard = static_cast<int>(s);
+    ss.rows = passes[s].slice_hi - passes[s].slice_lo;
+    ss.seconds = shard_seconds[s];
+    stats.shard_max_seconds = std::max(stats.shard_max_seconds, ss.seconds);
+    stats.shard_mean_seconds += ss.seconds / static_cast<double>(n);
+    stats.dist_shard_stats.push_back(ss);
+  }
+  stats.total_seconds = total_timer.ElapsedSeconds();
+
+  // The same result identity as ExecuteAt at this epoch, so ExecuteDelta
+  // of a sharded base is valid.
+  result.epoch = epoch;
+  result.artifact_signature = artifact_->signature;
+  result.param_fingerprint =
+      ParamFingerprint(artifact_->required_params, params);
+  return result;
+}
+
+Status PreparedBatch::RunPasses(const std::vector<PassSpec>& passes,
+                                const ParamPack& params,
+                                const ExecLimits& limits, const char* seam,
+                                BatchResult* result,
+                                std::vector<double>* pass_seconds) const {
+  CancelToken cancel;
+  if (limits.enabled()) {
+    cancel.ArmDeadline(limits.deadline_seconds);
+    cancel.ArmBudget(limits.max_view_bytes);
+  }
+  ExecutionStats& stats = result->stats;
+  stats = ExecutionStats();
+  stats.num_queries = artifact_->num_queries;
+  stats.num_views = artifact_->num_views;
+  stats.num_aggregates = artifact_->num_aggregates;
+  stats.num_groups =
+      static_cast<int>(artifact_->compiled.grouped.groups.size());
+  // Phase times of the artifact's original compilation; this call itself
+  // pays no compile (the Evaluate wrapper overwrites these two fields with
+  // its measured Prepare cost).
+  stats.viewgen_seconds = artifact_->viewgen_seconds;
+  stats.grouping_seconds = artifact_->grouping_seconds;
+  stats.plan_seconds = artifact_->plan_seconds;
+  stats.plan_cache_hit = true;
+  for (const PassSpec& pass : passes) {
+    if (seam != nullptr) LMFAO_FAILPOINT(seam);
+    Timer pass_timer;
+    LMFAO_ASSIGN_OR_RETURN(BatchResult term, RunPass(pass, params, cancel));
+    if (pass_seconds != nullptr) {
+      pass_seconds->push_back(pass_timer.ElapsedSeconds());
+    }
+    stats.AddPass(term.stats);
+    if (result->results.empty()) {
+      result->results = std::move(term.results);
+      continue;
+    }
+    Timer merge_timer;
+    for (size_t q = 0; q < result->results.size(); ++q) {
+      result->results[q].data.MergeAdd(term.results[q].data);
+    }
+    stats.merge_seconds += merge_timer.ElapsedSeconds();
+  }
+  return Status::OK();
 }
 
 StatusOr<BatchResult> Engine::Evaluate(const QueryBatch& batch,

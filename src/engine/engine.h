@@ -36,6 +36,7 @@
 #ifndef LMFAO_ENGINE_ENGINE_H_
 #define LMFAO_ENGINE_ENGINE_H_
 
+#include <algorithm>
 #include <atomic>
 #include <list>
 #include <map>
@@ -44,7 +45,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "dist/shard_spec.h"
 #include "engine/grouping.h"
 #include "engine/ir.h"
 #include "engine/jit.h"
@@ -60,11 +60,14 @@
 
 namespace lmfao {
 
+class CancelToken;
 class Engine;
 
-/// \brief Resource limits governing one execution pass.
+/// \brief Resource limits governing one execution call.
 ///
-/// Enforced by a CancelToken shared across the pass's workers: checked at
+/// Enforced by one CancelToken shared across the call's workers and, for
+/// the multi-pass executions (ExecuteDelta, ExecuteSharded), across all of
+/// its passes — the deadline bounds the whole call. Checked at
 /// group boundaries, after every publish, and (interpreter tiers) amortized
 /// inside the trie iteration. A tripped deadline returns DeadlineExceeded,
 /// a tripped memory budget ResourceExhausted; either way the pass unwinds
@@ -73,7 +76,7 @@ class Engine;
 /// re-executed afterwards. Both fields default to "unlimited"; enabling
 /// them costs <2% on untripped executions (bench_e2e_batch LimitOverhead).
 struct ExecLimits {
-  /// Wall-clock budget in seconds for the whole pass; <= 0 = no deadline.
+  /// Wall-clock budget in seconds for the whole call; <= 0 = no deadline.
   double deadline_seconds = 0.0;
   /// Budget for live view memory (ViewStore bytes plus in-flight output
   /// maps); 0 = unlimited. A trip on a domain-sharded group retries once
@@ -150,17 +153,14 @@ struct GroupStats {
 };
 
 /// \brief One shard's figures from a sharded execution
-/// (PreparedBatch::ExecuteSharded): its slice of the partitioned
-/// relation, its local execute time, and the bytes it shipped to the
-/// coordinator.
+/// (PreparedBatch::ExecuteSharded): its slice of the partitioned relation
+/// and the wall time of its pass.
 struct DistShardStats {
   int shard = 0;
   /// Rows of the partitioned relation in this shard's slice.
   size_t rows = 0;
-  /// Local execute wall time (includes encoding the shard's views).
+  /// Wall time of the shard's pass.
   double seconds = 0.0;
-  /// Encoded view-exchange bytes this shard produced.
-  size_t exchange_bytes = 0;
 };
 
 /// \brief Statistics of one batch evaluation.
@@ -214,21 +214,18 @@ struct ExecutionStats {
   /// inputs.
   int delta_dirty_groups = 0;
   /// @}
-  /// \name Sharded distributed execution (PreparedBatch::ExecuteSharded).
+  /// \name Sharded execution (PreparedBatch::ExecuteSharded).
   /// @{
-  /// True when this result was produced by merging per-shard partial
-  /// results through the view-exchange / coordinator path.
+  /// True when this result was produced by folding per-shard partial
+  /// results.
   bool dist_execution = false;
   /// Effective shard count (after clamping to the partitioned relation's
   /// rows); 0 on non-sharded executions.
   int dist_shards = 0;
   /// The relation whose row ranges the shards partitioned.
   RelationId dist_relation = kInvalidRelation;
-  /// Total encoded view-exchange bytes shipped from shards to the
-  /// coordinator.
-  size_t exchange_bytes = 0;
-  /// Coordinator time: decoding shard frames and folding them into the
-  /// final result maps.
+  /// Time spent folding pass results into the final result maps
+  /// (ViewMap::MergeAdd); delta refreshes fill it too.
   double merge_seconds = 0.0;
   /// Max / mean local execute time across shards; their ratio is the
   /// shard skew (1.0 = perfectly balanced).
@@ -238,8 +235,9 @@ struct ExecutionStats {
   /// @}
   /// \name Execution backend (see GroupStats::backend).
   /// @{
-  /// Group executions per backend tier this call. Delta passes accumulate
-  /// across passes, so the three can sum to a multiple of num_groups.
+  /// Group executions per backend tier this call. Multi-pass executions
+  /// accumulate across passes, so the three can sum to a multiple of
+  /// num_groups.
   int groups_jit = 0;
   int groups_simd = 0;
   int groups_interp = 0;
@@ -250,7 +248,7 @@ struct ExecutionStats {
   /// Limit trips observed during the pass — deadline or memory-budget
   /// trips, including injected OOM failpoints and trips the unsharded
   /// retry recovered from — and groups that ran degraded (see
-  /// GroupStats::degraded). Delta executions accumulate across passes.
+  /// GroupStats::degraded). Multi-pass executions accumulate across passes.
   /// @{
   int limit_trips = 0;
   int degraded_groups = 0;
@@ -270,6 +268,29 @@ struct ExecutionStats {
     }
   }
   /// @}
+  /// Folds one execution pass's figures into this call's totals (every
+  /// execution runs one or more passes). Times and counters add, peaks
+  /// take the maximum, the pass's group stats are appended, and the
+  /// backend label is re-derived.
+  void AddPass(const ExecutionStats& pass) {
+    execute_seconds += pass.execute_seconds;
+    peak_live_views = std::max(peak_live_views, pass.peak_live_views);
+    peak_view_bytes = std::max(peak_view_bytes, pass.peak_view_bytes);
+    peak_view_key_bytes =
+        std::max(peak_view_key_bytes, pass.peak_view_key_bytes);
+    peak_view_payload_bytes =
+        std::max(peak_view_payload_bytes, pass.peak_view_payload_bytes);
+    num_frozen_views += pass.num_frozen_views;
+    groups_jit += pass.groups_jit;
+    groups_simd += pass.groups_simd;
+    groups_interp += pass.groups_interp;
+    limit_trips += pass.limit_trips;
+    degraded_groups += pass.degraded_groups;
+    groups.insert(groups.end(), pass.groups.begin(), pass.groups.end());
+    DeriveBackend();
+  }
+  /// Per group execution of this call, in pass order (multi-pass
+  /// executions list every pass's groups).
   std::vector<GroupStats> groups;
 };
 
@@ -409,28 +430,21 @@ class PreparedBatch {
                                      const ParamPack& params,
                                      const ExecLimits& limits) const;
 
-  /// Sharded distributed execution (src/dist/): partitions one base
-  /// relation into `num_shards` row-range shards (num_shards <= 0 uses the
-  /// handle's ShardSpec — see Engine::PrepareSharded), runs the unchanged
-  /// compiled plans once per shard with that relation served as its slice,
-  /// ships every shard's frozen query outputs through the ViewWire
-  /// serialization, and folds them in the coordinator merge stage.
-  /// Multilinearity makes the merged result bit-for-bit equal to Execute
-  /// on integer-exact data (the per-key float summation order is shard-
-  /// major and deterministic). The returned BatchResult carries the same
-  /// epoch/signature/fingerprint a plain Execute would, so ExecuteDelta
-  /// composes: a sharded base refreshes incrementally, and the delta slice
-  /// of the partitioned relation is exactly the owning (last) shard's
-  /// extension. Defined in src/dist/sharded_exec.cc.
+  /// Sharded execution: partitions one base relation — the one with the
+  /// most rows among those some group reads — into `num_shards` balanced
+  /// contiguous row ranges (clamped to [1, rows]), runs the unchanged
+  /// compiled plans once per shard with that relation served as its
+  /// slice, and folds the shards' query outputs with ViewMap::MergeAdd in
+  /// shard order. Multilinearity makes the result bit-for-bit equal to
+  /// Execute on integer-exact data (the per-key float summation order is
+  /// shard-major and deterministic). The returned BatchResult carries the
+  /// same epoch/signature/fingerprint a plain Execute would, so
+  /// ExecuteDelta composes: a sharded base refreshes incrementally.
   StatusOr<BatchResult> ExecuteSharded(int num_shards,
                                        const ParamPack& params = {}) const;
   StatusOr<BatchResult> ExecuteSharded(int num_shards,
                                        const ParamPack& params,
                                        const ExecLimits& limits) const;
-
-  /// The sharding spec frozen into this handle (PrepareSharded); default
-  /// (num_shards = 0) means ExecuteSharded picks everything per call.
-  const ShardSpec& shard_spec() const { return shard_spec_; }
 
   bool valid() const { return artifact_ != nullptr; }
   /// The artifact accessors below require valid() (checked): an empty or
@@ -461,19 +475,39 @@ class PreparedBatch {
   friend class Engine;
 
   /// One execution pass over the compiled plans: every relation is served
-  /// at the extent `rows` says — except `delta_node` (when valid), which is
-  /// served as its row slice [delta_lo, delta_hi) instead. The shared
-  /// machinery behind ExecuteAt (no delta node), each ExecuteDelta term
-  /// (the slice is the relation's appended rows), and each ExecuteSharded
-  /// shard (the slice is the shard's partition of the relation).
+  /// at the extent `rows` says — except `slice_node` (when valid), which is
+  /// served as its row slice [slice_lo, slice_hi) instead. The one seam
+  /// every execution reduces to: ExecuteAt is a single pass with no slice,
+  /// each ExecuteDelta term slices a relation's appended rows, and each
+  /// ExecuteSharded shard slices its partition of a relation.
   struct PassSpec {
-    const EpochSnapshot* rows = nullptr;
-    RelationId delta_node = kInvalidRelation;
-    size_t delta_lo = 0;
-    size_t delta_hi = 0;
+    EpochSnapshot rows;
+    RelationId slice_node = kInvalidRelation;
+    size_t slice_lo = 0;
+    size_t slice_hi = 0;
   };
+  /// Runs one pass governed by `cancel` (which may be unarmed). Only the
+  /// pass-dependent stats are filled (see ExecutionStats::AddPass).
   StatusOr<BatchResult> RunPass(const PassSpec& spec, const ParamPack& params,
-                                const ExecLimits& limits) const;
+                                const CancelToken& cancel) const;
+
+  /// The driver every execution goes through: ExecuteAt runs one pass,
+  /// ExecuteDelta and ExecuteSharded run several. Runs `passes` in order
+  /// under ONE token armed from `limits`, so the deadline and budget bound
+  /// the whole call rather than each pass, and hits the failpoint `seam`
+  /// (when non-null) before every pass. Each
+  /// pass's query outputs are folded into `result->results` with
+  /// ViewMap::MergeAdd in pass order — empty `result->results` take the
+  /// first pass's maps as they are — so the per-key summation order is
+  /// pass-major and deterministic. `result->stats` is rebuilt from the
+  /// artifact's figures plus every pass (ExecutionStats::AddPass, fold
+  /// time in merge_seconds); the caller sets total_seconds.
+  /// `pass_seconds` (optional) receives each pass's wall time. On failure
+  /// `result` is partially folded and must be discarded.
+  Status RunPasses(const std::vector<PassSpec>& passes,
+                   const ParamPack& params, const ExecLimits& limits,
+                   const char* seam, BatchResult* result,
+                   std::vector<double>* pass_seconds = nullptr) const;
 
   /// Validates the handle and the bound params (the common preamble of
   /// every Execute flavor).
@@ -485,9 +519,6 @@ class PreparedBatch {
   uint64_t generation_ = 0;
   bool from_cache_ = false;
   double compile_seconds_ = 0.0;
-  /// Sharding defaults for ExecuteSharded (set by Engine::PrepareSharded;
-  /// inert otherwise).
-  ShardSpec shard_spec_;
 };
 
 /// \brief The optimization and execution engine.
@@ -528,14 +559,6 @@ class Engine {
   /// Compiles the batch (or fetches the structurally equal compiled
   /// artifact from the plan cache) and returns the execute-many handle.
   StatusOr<PreparedBatch> Prepare(const QueryBatch& batch);
-
-  /// Prepare plus a frozen sharding spec: the handle's ExecuteSharded
-  /// defaults to `spec` (per-call shard counts still override it). A
-  /// pinned `spec.relation` is validated against the compiled plans here,
-  /// so an ineligible relation fails at prepare time, not mid-execution.
-  /// Defined in src/dist/sharded_exec.cc.
-  StatusOr<PreparedBatch> PrepareSharded(const QueryBatch& batch,
-                                         const ShardSpec& spec);
 
   /// One-shot convenience: Prepare + Execute. `params` binds parameterized
   /// functions, as in PreparedBatch::Execute. The three-argument overload
@@ -647,17 +670,6 @@ class Engine {
   /// entry.
   std::atomic<uint64_t> generation_{0};
 };
-
-namespace internal {
-
-/// Hash of the bound values of the batch's required parameter slots.
-/// Recorded in BatchResult so ExecuteDelta / ExecuteSharded can verify
-/// results were computed under the same bindings. Defined in engine.cc;
-/// exposed here for the sharded-execution layer (src/dist/).
-uint64_t ParamFingerprint(const std::vector<ParamId>& required,
-                          const ParamPack& params);
-
-}  // namespace internal
 
 }  // namespace lmfao
 

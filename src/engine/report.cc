@@ -80,17 +80,17 @@ std::string ReportExecution(const ExecutionStats& stats,
             ? stats.shard_max_seconds / stats.shard_mean_seconds
             : 1.0;
     out << StringPrintf(
-        "  sharded: %d shards of %s, exchange %zu bytes, merge %.2f ms, "
-        "shard max/mean %.2f/%.2f ms (skew %.2f)\n",
+        "  sharded: %d shards of %s, merge %.2f ms, shard max/mean "
+        "%.2f/%.2f ms (skew %.2f)\n",
         stats.dist_shards,
         stats.dist_relation == kInvalidRelation
             ? "?"
             : catalog.relation(stats.dist_relation).name().c_str(),
-        stats.exchange_bytes, stats.merge_seconds * 1e3,
+        stats.merge_seconds * 1e3,
         stats.shard_max_seconds * 1e3, stats.shard_mean_seconds * 1e3, skew);
     for (const DistShardStats& s : stats.dist_shard_stats) {
-      out << StringPrintf("    shard %d: %zu rows, %.2f ms, %zu bytes\n",
-                          s.shard, s.rows, s.seconds * 1e3, s.exchange_bytes);
+      out << StringPrintf("    shard %d: %zu rows, %.2f ms\n", s.shard,
+                          s.rows, s.seconds * 1e3);
     }
   }
   constexpr double kMiB = 1024.0 * 1024.0;

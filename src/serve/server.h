@@ -68,8 +68,7 @@ struct Request {
   double deadline_seconds = 0.0;
   /// Shard count for prepared execution (kPreparedExecute only): > 0 runs
   /// PreparedBatch::ExecuteSharded(shards) instead of Execute — same
-  /// result, computed through the distributed plan-split / view-exchange /
-  /// coordinator-merge path.
+  /// result, computed as one pass per row-range shard folded together.
   int shards = 0;
 };
 

@@ -44,9 +44,7 @@
 ///   engine.sorted_cache          — sorted-relation cache (re)build
 ///   scheduler.spawn              — group task spawn
 ///   dist.shard_execute           — sharded execution, before each shard's
-///                                  local pass
-///   dist.exchange_decode         — coordinator merge, before each frame
-///                                  decode
+///                                  pass
 ///
 /// Void seams: ViewMap::Reserve/Rehash run inside hot scan loops with no
 /// Status channel. They *park* the injected Status in a thread-local slot

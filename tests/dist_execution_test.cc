@@ -1,13 +1,14 @@
 /// \file dist_execution_test.cc
-/// \brief Sharded distributed execution (PreparedBatch::ExecuteSharded),
-/// pinned differentially: for every shard count the merged result must be
+/// \brief Sharded execution (PreparedBatch::ExecuteSharded), pinned
+/// differentially: for every shard count the folded result must be
 /// bit-for-bit equal to the unsharded prepared Execute AND to the naive
 /// scan baseline (the exact generator emits integer data, so per-key sums
 /// are associative), across randomized databases and append schedules;
-/// plus the plan-splitting contract (balanced covering ranges, eligibility
-/// of the partitioned relation), ExecuteDelta composition on a sharded
-/// base, shard/exchange observability, and fault injection through the
-/// dist.* failpoint seams with zero leaked views.
+/// plus the shard split (balanced covering ranges of the largest relation
+/// in the input closure, clamped shard counts), ExecuteDelta composition
+/// on a sharded base, shard observability, one deadline across all shard
+/// passes, and fault injection through the dist.shard_execute seam with
+/// zero leaked views.
 
 #include <algorithm>
 #include <cstdlib>
@@ -22,7 +23,6 @@
 #include "baseline/naive_engine.h"
 #include "data/favorita.h"
 #include "differential_harness.h"
-#include "dist/shard_plan.h"
 #include "engine/engine.h"
 #include "engine/report.h"
 #include "exact_generator.h"
@@ -138,6 +138,11 @@ TEST_P(DistFuzzTest, ShardedMatchesExecuteAndBaselineBitForBit) {
       ExpectResultsMatch(refreshed->results, full->results, 0.0,
                          "round " + std::to_string(round) +
                              ": delta refresh of a sharded base");
+      // The refresh's stats describe the refresh, which ran no shards.
+      EXPECT_TRUE(refreshed->stats.delta_execution);
+      EXPECT_FALSE(refreshed->stats.dist_execution);
+      EXPECT_EQ(ReportExecution(refreshed->stats, db.catalog).find("sharded:"),
+                std::string::npos);
 
       // And sharded execution keeps matching after the appends.
       ASSERT_NO_FATAL_FAILURE(
@@ -150,159 +155,102 @@ TEST_P(DistFuzzTest, ShardedMatchesExecuteAndBaselineBitForBit) {
 INSTANTIATE_TEST_SUITE_P(Seeds, DistFuzzTest,
                          ::testing::Range<uint64_t>(1, 13));
 
-// --- Plan splitting ------------------------------------------------------
+// --- Shard split -----------------------------------------------------------
 
 class ShardPlanTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    auto data = MakeFavorita(FavoritaOptions{.num_sales = 1500});
-    ASSERT_TRUE(data.ok());
-    data_ = std::move(data).value();
-    engine_ = std::make_unique<Engine>(&data_->catalog, &data_->tree,
+    Rng rng(2718);
+    db_ = std::make_unique<ExactDatabase>(MakeExactDatabase(&rng));
+    engine_ = std::make_unique<Engine>(&db_->catalog, &db_->tree,
                                        EngineOptions{});
-    auto prepared = engine_->Prepare(MakeExampleBatch(*data_));
+    auto prepared = engine_->Prepare(MakeExactBatch(*db_, &rng));
     ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
     prepared_ = std::move(prepared).value();
   }
 
-  std::unique_ptr<FavoritaData> data_;
+  /// Rows of the partitioned relation at the current epoch.
+  size_t PartitionedRows(const ExecutionStats& stats) const {
+    return db_->catalog.SnapshotEpoch().at(stats.dist_relation);
+  }
+
+  std::unique_ptr<ExactDatabase> db_;
   std::unique_ptr<Engine> engine_;
   PreparedBatch prepared_;
 };
 
 TEST_F(ShardPlanTest, BalancedRangesCoverTheRelation) {
-  const EpochSnapshot epoch = data_->catalog.SnapshotEpoch();
-  ShardSpec spec;
-  spec.num_shards = 4;
-  auto plan = MakeShardedPlan(prepared_.compiled(), data_->catalog, epoch,
-                              spec);
-  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-  // Auto-pick partitions the eligible relation with the most rows.
-  for (RelationId r = 0; r < data_->catalog.num_relations(); ++r) {
-    EXPECT_LE(epoch.at(r), epoch.at(plan->relation))
-        << data_->catalog.relation(r).name();
+  auto sharded = prepared_.ExecuteSharded(4);
+  ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+  const ExecutionStats& stats = sharded->stats;
+  ASSERT_NE(stats.dist_relation, kInvalidRelation);
+
+  // The partitioned relation is the largest one some group reads.
+  uint64_t closure = 0;
+  for (const GroupPlan& plan : prepared_.compiled().plans) {
+    closure |= plan.source_relation_mask;
   }
-  ASSERT_EQ(plan->num_shards(), 4);
-  const size_t rows = epoch.at(plan->relation);
+  ASSERT_TRUE((closure >> stats.dist_relation) & 1);
+  const EpochSnapshot epoch = db_->catalog.SnapshotEpoch();
+  for (RelationId r = 0; r < db_->catalog.num_relations(); ++r) {
+    if (((closure >> r) & 1) == 0) continue;
+    EXPECT_LE(epoch.at(r), epoch.at(stats.dist_relation))
+        << db_->catalog.relation(r).name();
+  }
+
+  // Four shards whose rows cover the relation and differ by at most one.
+  const size_t rows = PartitionedRows(stats);
+  ASSERT_GE(rows, 4u);
+  ASSERT_EQ(stats.dist_shards, 4);
+  ASSERT_EQ(stats.dist_shard_stats.size(), 4u);
   size_t covered = 0;
-  for (int s = 0; s < 4; ++s) {
-    const ShardRange& r = plan->ranges[static_cast<size_t>(s)];
-    EXPECT_EQ(r.lo, covered) << "shard " << s << " not contiguous";
-    EXPECT_GE(r.rows(), rows / 4);
-    EXPECT_LE(r.rows(), rows / 4 + 1);
-    covered = r.hi;
+  for (const DistShardStats& s : stats.dist_shard_stats) {
+    EXPECT_GE(s.rows, rows / 4) << "shard " << s.shard;
+    EXPECT_LE(s.rows, rows / 4 + 1) << "shard " << s.shard;
+    covered += s.rows;
   }
   EXPECT_EQ(covered, rows);
-  EXPECT_GT(plan->dirty_groups, 0);
 }
 
 TEST_F(ShardPlanTest, ShardCountClampsToRowCountAndNeverBelowOne) {
-  const EpochSnapshot epoch = data_->catalog.SnapshotEpoch();
-  ShardSpec spec;
-  spec.num_shards = 1 << 20;  // Far more shards than rows.
-  auto plan = MakeShardedPlan(prepared_.compiled(), data_->catalog, epoch,
-                              spec);
-  ASSERT_TRUE(plan.ok());
-  EXPECT_EQ(static_cast<size_t>(plan->num_shards()),
-            epoch.at(plan->relation));
-  for (const ShardRange& r : plan->ranges) EXPECT_EQ(r.rows(), 1u);
-
-  spec.num_shards = 0;  // Unset: a single shard.
-  auto one = MakeShardedPlan(prepared_.compiled(), data_->catalog, epoch,
-                             spec);
-  ASSERT_TRUE(one.ok());
-  EXPECT_EQ(one->num_shards(), 1);
-  EXPECT_EQ(one->ranges[0].lo, 0u);
-  EXPECT_EQ(one->ranges[0].hi, epoch.at(one->relation));
-}
-
-TEST_F(ShardPlanTest, PinnedRelationIsHonored) {
-  const EpochSnapshot epoch = data_->catalog.SnapshotEpoch();
-  ShardSpec spec;
-  spec.num_shards = 3;
-  spec.relation = data_->sales;
-  auto plan = MakeShardedPlan(prepared_.compiled(), data_->catalog, epoch,
-                              spec);
-  ASSERT_TRUE(plan.ok());
-  EXPECT_EQ(plan->relation, data_->sales);
-}
-
-TEST_F(ShardPlanTest, PinnedUnknownRelationRejected) {
-  const EpochSnapshot epoch = data_->catalog.SnapshotEpoch();
-  ShardSpec spec;
-  spec.num_shards = 2;
-  spec.relation = 99;  // Not in the catalog.
-  auto plan = MakeShardedPlan(prepared_.compiled(), data_->catalog, epoch,
-                              spec);
-  EXPECT_FALSE(plan.ok());
-  EXPECT_EQ(plan.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST_F(ShardPlanTest, PinnedRelationOutsideInputClosureRejected) {
-  // Doctor the compiled plans so no group reads relation 0: partitioning
-  // it would duplicate the result per shard, so the split must refuse.
-  CompiledBatch doctored = prepared_.compiled();
-  for (GroupPlan& plan : doctored.plans) {
-    plan.source_relation_mask &= ~1ull;
+  // Far more shards than rows: one shard per row.
+  auto many = prepared_.ExecuteSharded(1 << 20);
+  ASSERT_TRUE(many.ok()) << many.status().ToString();
+  EXPECT_EQ(static_cast<size_t>(many->stats.dist_shards),
+            PartitionedRows(many->stats));
+  for (const DistShardStats& s : many->stats.dist_shard_stats) {
+    EXPECT_EQ(s.rows, 1u);
   }
-  const EpochSnapshot epoch = data_->catalog.SnapshotEpoch();
-  ShardSpec spec;
-  spec.num_shards = 2;
-  spec.relation = 0;
-  auto plan = MakeShardedPlan(doctored, data_->catalog, epoch, spec);
-  EXPECT_FALSE(plan.ok());
-  EXPECT_EQ(plan.status().code(), StatusCode::kInvalidArgument);
 
-  // With no eligible relation at all, auto-pick has nothing to partition.
-  for (GroupPlan& p : doctored.plans) p.source_relation_mask = 0;
-  spec.relation = kInvalidRelation;
-  auto none = MakeShardedPlan(doctored, data_->catalog, epoch, spec);
-  EXPECT_FALSE(none.ok());
-  EXPECT_EQ(none.status().code(), StatusCode::kInvalidArgument);
-}
+  // Zero or negative: a single shard over the whole relation.
+  for (int n : {0, -3}) {
+    auto one = prepared_.ExecuteSharded(n);
+    ASSERT_TRUE(one.ok()) << one.status().ToString();
+    EXPECT_EQ(one->stats.dist_shards, 1);
+    ASSERT_EQ(one->stats.dist_shard_stats.size(), 1u);
+    EXPECT_EQ(one->stats.dist_shard_stats[0].rows,
+              PartitionedRows(one->stats));
+  }
 
-// --- PrepareSharded and observability ------------------------------------
-
-TEST(PrepareShardedTest, PinnedSpecDrivesExecuteSharded) {
-  Rng rng(4242);
-  ExactDatabase db = MakeExactDatabase(&rng);
-  const QueryBatch batch = MakeExactBatch(db, &rng);
-  Engine engine(&db.catalog, &db.tree, EngineOptions{});
-
-  ShardSpec spec;
-  spec.num_shards = 3;
-  auto prepared = engine.PrepareSharded(batch, spec);
-  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
-  EXPECT_EQ(prepared->shard_spec().num_shards, 3);
-
-  // num_shards <= 0 defers to the pinned spec.
-  auto sharded = prepared->ExecuteSharded(0);
-  ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
-  EXPECT_EQ(sharded->stats.dist_shards, 3);
-  auto full = prepared->Execute();
+  auto full = prepared_.Execute();
   ASSERT_TRUE(full.ok());
-  ExpectResultsMatch(sharded->results, full->results, 0.0,
-                     "pinned-spec sharded execute");
-
-  // An explicit per-call count overrides the pinned one.
-  auto two = prepared->ExecuteSharded(2);
-  ASSERT_TRUE(two.ok());
-  EXPECT_EQ(two->stats.dist_shards, 2);
+  ExpectResultsMatch(many->results, full->results, 0.0,
+                     "one shard per row vs unsharded execute");
 }
 
-TEST(PrepareShardedTest, BadSpecFailsAtPrepareNotAtExecute) {
-  Rng rng(777);
-  ExactDatabase db = MakeExactDatabase(&rng);
-  Engine engine(&db.catalog, &db.tree, EngineOptions{});
-  ShardSpec spec;
-  spec.num_shards = 2;
-  spec.relation = 99;
-  auto prepared = engine.PrepareSharded(MakeExactBatch(db, &rng), spec);
-  EXPECT_FALSE(prepared.ok());
-  EXPECT_EQ(prepared.status().code(), StatusCode::kInvalidArgument);
+TEST_F(ShardPlanTest, EmptyBatchHasNothingToPartition) {
+  // No group reads any relation, so none is linear in the batch: splitting
+  // one would count the (empty) result once per shard.
+  auto prepared = engine_->Prepare(QueryBatch{});
+  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+  auto sharded = prepared->ExecuteSharded(2);
+  EXPECT_FALSE(sharded.ok());
+  EXPECT_EQ(sharded.status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST(DistStatsTest, ShardAndExchangeCountersAreCoherent) {
+// --- Observability -------------------------------------------------------
+
+TEST(DistStatsTest, ShardCountersAreCoherent) {
   auto data = MakeFavorita(FavoritaOptions{.num_sales = 1500});
   ASSERT_TRUE(data.ok());
   Engine engine(&(*data)->catalog, &(*data)->tree, EngineOptions{});
@@ -320,16 +268,11 @@ TEST(DistStatsTest, ShardAndExchangeCountersAreCoherent) {
   const size_t sharded_rows =
       (*data)->catalog.SnapshotEpoch().at(stats.dist_relation);
   size_t rows = 0;
-  size_t bytes = 0;
   for (const DistShardStats& s : stats.dist_shard_stats) {
     rows += s.rows;
-    bytes += s.exchange_bytes;
-    EXPECT_GT(s.exchange_bytes, 0u);
     EXPECT_GE(s.seconds, 0.0);
   }
   EXPECT_EQ(rows, sharded_rows);
-  EXPECT_EQ(bytes, stats.exchange_bytes);
-  EXPECT_GT(stats.exchange_bytes, 0u);
   EXPECT_GE(stats.merge_seconds, 0.0);
   EXPECT_GE(stats.shard_max_seconds, stats.shard_mean_seconds);
 
@@ -345,7 +288,7 @@ TEST(DistStatsTest, ShardAndExchangeCountersAreCoherent) {
   EXPECT_NE(report.find("shard 0:"), std::string::npos) << report;
 }
 
-// --- Fault injection through the dist seams -------------------------------
+// --- Fault injection through the dist seam --------------------------------
 
 class DistFailpointTest : public ::testing::Test {
  protected:
@@ -378,8 +321,8 @@ class DistFailpointTest : public ::testing::Test {
     EXPECT_FALSE(failed.ok()) << spec << " did not inject";
     EXPECT_NE(failed.status().code(), StatusCode::kOk);
     EXPECT_GT(Failpoints::Hits(seam), 0u);
-    // The failed execution unwound completely: no shard pass or half-merged
-    // coordinator state keeps views alive.
+    // The failed execution unwound completely: no shard pass or half-folded
+    // result keeps views alive.
     EXPECT_EQ(ViewStore::GlobalLiveViews(), base_views);
     EXPECT_EQ(ViewStore::GlobalLiveBytes(), base_bytes);
 
@@ -405,11 +348,26 @@ TEST_F(DistFailpointTest, ShardExecuteInjectionFailsCleanly) {
                             "dist.shard_execute");
 }
 
-TEST_F(DistFailpointTest, ExchangeDecodeInjectionFailsCleanly) {
-  CheckInjectionAndRecovery("dist.exchange_decode=fail",
-                            "dist.exchange_decode");
-  CheckInjectionAndRecovery("dist.exchange_decode=oom#2",
-                            "dist.exchange_decode");
+TEST_F(DistFailpointTest, DeadlineSpansAllShardPasses) {
+  // Each shard pass is delayed 60 ms: no single pass exceeds the 100 ms
+  // deadline, but the call as a whole does, and the deadline is the call's.
+  FailpointGuard guard;
+  ASSERT_TRUE(Failpoints::Configure("dist.shard_execute=delay:60").ok());
+  ExecLimits limits;
+  limits.deadline_seconds = 0.1;
+  auto timed_out = prepared_.ExecuteSharded(4, {}, limits);
+  ASSERT_FALSE(timed_out.ok());
+  EXPECT_EQ(timed_out.status().code(), StatusCode::kDeadlineExceeded)
+      << timed_out.status().ToString();
+
+  // The trip ended with the call: the same handle executes again.
+  Failpoints::Clear();
+  Failpoints::ClearParked();
+  limits.deadline_seconds = 300.0;
+  auto again = prepared_.ExecuteSharded(4, {}, limits);
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  ExpectResultsMatch(again->results, oracle_.results, 0.0,
+                     "sharded execute after a deadline trip");
 }
 
 /// Runs under whatever LMFAO_FAILPOINTS the environment installed (the CI
