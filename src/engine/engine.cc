@@ -327,13 +327,28 @@ StatusOr<BatchResult> PreparedBatch::RunPass(const PassSpec& spec,
           RelationId node,
           const std::vector<AttrId>& order) -> StatusOr<const Relation*> {
         std::shared_ptr<const Relation> snap;
-        if (node == spec.slice_node) {
+        if (node != spec.slice_node) {
+          LMFAO_ASSIGN_OR_RETURN(
+              snap, engine_->SortedRelationAt(node, order, spec.rows.at(node)));
+        } else if (spec.sorted_slice == nullptr) {
           LMFAO_ASSIGN_OR_RETURN(
               snap, engine_->SortedDeltaSlice(node, order, spec.slice_lo,
                                               spec.slice_hi));
         } else {
-          LMFAO_ASSIGN_OR_RETURN(
-              snap, engine_->SortedRelationAt(node, order, spec.rows.at(node)));
+          SortedPins& pins = *spec.sorted_slice;
+          std::shared_ptr<const Relation> sorted;
+          {
+            std::lock_guard<std::mutex> lock(pins.mu);
+            std::shared_ptr<const Relation>& pinned = pins.by_order[order];
+            if (pinned == nullptr) {
+              LMFAO_ASSIGN_OR_RETURN(
+                  pinned,
+                  engine_->SortedRelationAt(node, order, spec.rows.at(node)));
+            }
+            sorted = pinned;
+          }
+          snap = std::make_shared<const Relation>(
+              sorted->SliceRows(spec.slice_lo, spec.slice_hi));
         }
         const Relation* raw = snap.get();
         std::lock_guard<std::mutex> lock(pin_set.mu);
@@ -516,16 +531,21 @@ StatusOr<BatchResult> PreparedBatch::ExecuteSharded(
         "partition");
   }
 
-  // Balanced contiguous ranges over [0, rows): the first rows % n shards
-  // take one extra row. An empty relation still runs one (empty) shard.
+  // Balanced contiguous ranges over positions [0, rows) of the relation's
+  // sorted order at `epoch`: the first rows % n shards take one extra row.
+  // An empty relation still runs one (empty) shard. A group reading the
+  // relation under another order slices that order instead; each query
+  // scans the relation once, so per query the shards still partition it.
   const size_t rows = epoch.at(relation);
   const size_t n = std::min<size_t>(std::max(num_shards, 1),
                                     std::max<size_t>(rows, 1));
+  SortedPins pins;
   std::vector<PassSpec> passes(n);
   size_t lo = 0;
   for (size_t s = 0; s < n; ++s) {
     passes[s].rows = epoch;
     passes[s].slice_node = relation;
+    passes[s].sorted_slice = &pins;
     passes[s].slice_lo = lo;
     lo += rows / n + (s < rows % n ? 1 : 0);
     passes[s].slice_hi = lo;

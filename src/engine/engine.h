@@ -432,12 +432,16 @@ class PreparedBatch {
 
   /// Sharded execution: partitions one base relation — the one with the
   /// most rows among those some group reads — into `num_shards` balanced
-  /// contiguous row ranges (clamped to [1, rows]), runs the unchanged
-  /// compiled plans once per shard with that relation served as its
-  /// slice, and folds the shards' query outputs with ViewMap::MergeAdd in
-  /// shard order. Multilinearity makes the result bit-for-bit equal to
-  /// Execute on integer-exact data (the per-key float summation order is
-  /// shard-major and deterministic). The returned BatchResult carries the
+  /// contiguous ranges of its cached sort order at the call's epoch
+  /// (clamped to [1, rows]), runs the unchanged compiled plans once per
+  /// shard with that relation served as its range, and folds the shards'
+  /// query outputs with ViewMap::MergeAdd in shard order. A shard's range
+  /// is copied out of the sorted snapshot, never re-sorted; each sort
+  /// order of the relation is fetched once per call and pinned for all
+  /// shards. Any partition works: every query scans each relation once,
+  /// so multilinearity makes the result bit-for-bit equal to Execute on
+  /// integer-exact data (the per-key float summation order is shard-major
+  /// and deterministic). The returned BatchResult carries the
   /// same epoch/signature/fingerprint a plain Execute would, so
   /// ExecuteDelta composes: a sharded base refreshes incrementally.
   StatusOr<BatchResult> ExecuteSharded(int num_shards,
@@ -474,9 +478,17 @@ class PreparedBatch {
  private:
   friend class Engine;
 
+  /// The sorted snapshots of one relation at one epoch, keyed by the plan
+  /// attribute order that requested them. The first pass reading an order
+  /// fetches it from the engine's sorted cache; the pin keeps it for every
+  /// later pass of the call, even if the cache prunes that epoch meanwhile.
+  struct SortedPins {
+    std::mutex mu;
+    std::map<std::vector<AttrId>, std::shared_ptr<const Relation>> by_order;
+  };
   /// One execution pass over the compiled plans: every relation is served
   /// at the extent `rows` says — except `slice_node` (when valid), which is
-  /// served as its row slice [slice_lo, slice_hi) instead. The one seam
+  /// served as the slice [slice_lo, slice_hi) instead. The one seam
   /// every execution reduces to: ExecuteAt is a single pass with no slice,
   /// each ExecuteDelta term slices a relation's appended rows, and each
   /// ExecuteSharded shard slices its partition of a relation.
@@ -485,6 +497,11 @@ class PreparedBatch {
     RelationId slice_node = kInvalidRelation;
     size_t slice_lo = 0;
     size_t slice_hi = 0;
+    /// Null: the slice is committed rows [slice_lo, slice_hi), sorted on
+    /// their own (an ExecuteDelta term). Set: it is positions
+    /// [slice_lo, slice_hi) of slice_node's sorted snapshot at `rows`,
+    /// copied with no sort from the snapshot pinned here (a shard).
+    SortedPins* sorted_slice = nullptr;
   };
   /// Runs one pass governed by `cancel` (which may be unarmed). Only the
   /// pass-dependent stats are filled (see ExecutionStats::AddPass).

@@ -5,15 +5,19 @@
 /// scan baseline (the exact generator emits integer data, so per-key sums
 /// are associative), across randomized databases and append schedules;
 /// plus the shard split (balanced covering ranges of the largest relation
-/// in the input closure, clamped shard counts), ExecuteDelta composition
-/// on a sharded base, shard observability, one deadline across all shard
-/// passes, and fault injection through the dist.shard_execute seam with
-/// zero leaked views.
+/// in the input closure, clamped shard counts), slices of the relation's
+/// sorted order under several orders and across a cache that moves to
+/// newer epochs mid-call, ExecuteDelta composition on a sharded base,
+/// shard observability, one deadline across all shard passes, and fault
+/// injection through the dist.shard_execute seam with zero leaked views.
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -246,6 +250,156 @@ TEST_F(ShardPlanTest, EmptyBatchHasNothingToPartition) {
   auto sharded = prepared->ExecuteSharded(2);
   EXPECT_FALSE(sharded.ok());
   EXPECT_EQ(sharded.status().code(), StatusCode::kInvalidArgument);
+}
+
+// --- Slices of the sorted order ------------------------------------------
+
+// A shard takes a range of positions in the partitioned relation's sorted
+// order, and a group reading that relation under another attribute order
+// slices that order instead, so two such groups see different row subsets
+// in the same pass. Each query scans the relation once, so the shards still
+// partition it per query. With multi-output grouping the largest relation's
+// views are merged first and share one group; one group per view gives it
+// several groups, and seed 13 makes their orders differ.
+TEST(ShardSliceTest, ExactWhenThePartitionedRelationIsReadUnderTwoOrders) {
+  Rng rng(13);
+  ExactDatabase db = MakeExactDatabase(&rng);
+  const QueryBatch batch = MakeExactBatch(db, &rng);
+  EngineOptions options;
+  options.grouping.multi_output = false;
+  Engine engine(&db.catalog, &db.tree, options);
+  auto prepared = engine.Prepare(batch);
+  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+
+  auto full = prepared->Execute();
+  ASSERT_TRUE(full.ok()) << full.status().ToString();
+  auto joined = MaterializeJoin(db.catalog, db.tree, 0);
+  ASSERT_TRUE(joined.ok()) << joined.status().ToString();
+  auto baseline = EvaluateBatchSharedScan(*joined, batch);
+  ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
+
+  auto probe = prepared->ExecuteSharded(2);
+  ASSERT_TRUE(probe.ok()) << probe.status().ToString();
+  const RelationId relation = probe->stats.dist_relation;
+  ASSERT_NE(relation, kInvalidRelation);
+  // The premise: two or more groups at the partitioned relation, read
+  // under at least two distinct attribute orders.
+  int groups_at_relation = 0;
+  std::vector<std::vector<AttrId>> orders;
+  for (const GroupPlan& plan : prepared->compiled().plans) {
+    if (plan.node != relation) continue;
+    ++groups_at_relation;
+    if (std::find(orders.begin(), orders.end(), plan.attr_order) ==
+        orders.end()) {
+      orders.push_back(plan.attr_order);
+    }
+  }
+  ASSERT_GE(groups_at_relation, 2);
+  ASSERT_GE(orders.size(), 2u);
+
+  const size_t rows = db.catalog.SnapshotEpoch().at(relation);
+  ASSERT_GT(rows, 8u);
+  for (int n : {2, 3, 5, 8, static_cast<int>(rows)}) {
+    auto sharded = prepared->ExecuteSharded(n);
+    ASSERT_TRUE(sharded.ok()) << "n=" << n << ": "
+                              << sharded.status().ToString();
+    EXPECT_EQ(sharded->stats.dist_relation, relation);
+    EXPECT_EQ(sharded->stats.dist_shards, n);
+    ExpectResultsMatch(sharded->results, full->results, 0.0,
+                       "n=" + std::to_string(n) + ": sharded vs execute");
+    ExpectResultsMatch(sharded->results, *baseline, 0.0,
+                       "n=" + std::to_string(n) + ": sharded vs baseline");
+  }
+
+  // A delta refresh of a sharded base slices committed rows, not sorted
+  // positions, and still lands on the full result.
+  auto base = prepared->ExecuteSharded(3);
+  ASSERT_TRUE(base.ok()) << base.status().ToString();
+  std::vector<std::vector<Value>> appended;
+  const Relation& rel = db.catalog.relation(relation);
+  for (size_t i = 0; i < 4; ++i) {
+    std::vector<Value> row;
+    for (int c = 0; c < rel.num_columns(); ++c) row.push_back(rel.ValueAt(i, c));
+    appended.push_back(std::move(row));
+  }
+  ASSERT_TRUE(db.catalog.AppendRows(relation, appended).ok());
+  auto refreshed = prepared->ExecuteDelta(*base);
+  ASSERT_TRUE(refreshed.ok()) << refreshed.status().ToString();
+  auto after = prepared->Execute();
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  ExpectResultsMatch(refreshed->results, after->results, 0.0,
+                     "delta refresh of a sharded base");
+}
+
+// The sorted snapshot a sharded call slices belongs to the call's epoch.
+// While the call is held between shard passes, another thread appends and
+// executes at two newer epochs, so the engine's sorted cache (two epochs
+// per order) prunes the call's epoch; the later shards must still slice the
+// call's own epoch.
+TEST(ShardSliceTest, ShardedCallStaysAtItsEpochWhileTheCacheMovesOn) {
+  FailpointGuard guard;
+  Failpoints::Clear();
+  Failpoints::ClearParked();
+  Rng rng(4242);
+  ExactDatabase db = MakeExactDatabase(&rng);
+  const QueryBatch batch = MakeExactBatch(db, &rng);
+  Engine engine(&db.catalog, &db.tree, EngineOptions{});
+  auto prepared = engine.Prepare(batch);
+  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+  ASSERT_TRUE(Failpoints::Configure("dist.shard_execute=delay:40").ok());
+
+  std::atomic<bool> call_done{false};
+  std::vector<Status> mover_errors;
+  std::thread mover([&] {
+    // The second hit of the seam is the delay before shard 1: shard 0 has
+    // run and read the call's epoch.
+    while (Failpoints::Hits("dist.shard_execute") < 2 && !call_done.load()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    Rng mover_rng(99);
+    for (int epoch = 0; epoch < 2; ++epoch) {
+      for (RelationId r = 0; r < db.catalog.num_relations(); ++r) {
+        const int arity = db.catalog.relation(r).num_columns();
+        std::vector<std::vector<Value>> rows(3);
+        for (std::vector<Value>& row : rows) {
+          for (int c = 0; c < arity; ++c) {
+            const int64_t v = mover_rng.UniformInt(-3, 3);
+            row.push_back(db.catalog.relation(r).column(c).type() ==
+                                  AttrType::kInt
+                              ? Value::Int(v)
+                              : Value::Double(static_cast<double>(v)));
+          }
+        }
+        Status st = db.catalog.AppendRows(r, rows);
+        if (!st.ok()) mover_errors.push_back(st);
+      }
+      auto newer = prepared->Execute();
+      if (!newer.ok()) mover_errors.push_back(newer.status());
+    }
+  });
+  auto sharded = prepared->ExecuteSharded(4);
+  call_done.store(true);
+  mover.join();
+  Failpoints::Clear();
+  Failpoints::ClearParked();
+  for (const Status& st : mover_errors) ADD_FAILURE() << st.ToString();
+  ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+
+  const RelationId relation = sharded->stats.dist_relation;
+  ASSERT_NE(relation, kInvalidRelation);
+  // The appends committed after the call took its epoch.
+  EXPECT_LT(sharded->epoch.at(relation),
+            db.catalog.SnapshotEpoch().at(relation));
+  size_t covered = 0;
+  for (const DistShardStats& s : sharded->stats.dist_shard_stats) {
+    covered += s.rows;
+  }
+  EXPECT_EQ(covered, sharded->epoch.at(relation));
+
+  auto at = prepared->ExecuteAt(sharded->epoch);
+  ASSERT_TRUE(at.ok()) << at.status().ToString();
+  ExpectResultsMatch(sharded->results, at->results, 0.0,
+                     "sharded call vs ExecuteAt its own epoch");
 }
 
 // --- Observability -------------------------------------------------------
