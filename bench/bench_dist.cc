@@ -11,9 +11,14 @@
 /// the unsharded execute. merge_ms is the MergeAdd time folding the shard
 /// results together and merge_overhead_pct charges it against the
 /// unsharded execute; shard_skew shows how balanced the split is.
+///
+/// Every counter is a median: the sharded figures over all timed
+/// iterations, the unsharded reference over kReferenceRuns warm executes.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <vector>
 
 #include "bench_common.h"
 #include "engine/engine.h"
@@ -22,6 +27,14 @@ namespace lmfao {
 namespace {
 
 constexpr int64_t kRetailerRows = 200000;
+constexpr int kReferenceRuns = 5;
+
+double Median(std::vector<double> samples) {
+  if (samples.empty()) return 0.0;
+  const size_t mid = samples.size() / 2;
+  std::nth_element(samples.begin(), samples.begin() + mid, samples.end());
+  return samples[mid];
+}
 
 void BM_Dist_RetailerCovariance_ShardSweep(benchmark::State& state) {
   RetailerData& db = bench::Retailer(kRetailerRows);
@@ -33,34 +46,42 @@ void BM_Dist_RetailerCovariance_ShardSweep(benchmark::State& state) {
   // The unsharded reference the merge overhead and work ratio are charged
   // against, run on a warm sorted-relation cache like the timed shards.
   LMFAO_CHECK(prepared->Execute().ok());
-  auto full = prepared->Execute();
-  LMFAO_CHECK(full.ok());
+  std::vector<double> full_ms;
+  for (int run = 0; run < kReferenceRuns; ++run) {
+    auto full = prepared->Execute();
+    LMFAO_CHECK(full.ok());
+    full_ms.push_back(full->stats.execute_seconds * 1e3);
+  }
+  const double reference_ms = Median(full_ms);
 
-  const int shards = static_cast<int>(state.range(0));
-  ExecutionStats stats;
+  ExecRequest request;
+  request.shards = static_cast<int>(state.range(0));
+  std::vector<double> execute_ms;
+  std::vector<double> merge_ms;
+  std::vector<double> skew;
+  int shards = 0;
   for (auto _ : state) {
-    auto result = prepared->ExecuteSharded(shards);
+    auto result = prepared->Execute(request);
     LMFAO_CHECK(result.ok()) << result.status().ToString();
-    stats = result->stats;
+    const ExecutionStats& stats = result->stats;
+    execute_ms.push_back(stats.execute_seconds * 1e3);
+    merge_ms.push_back(stats.merge_seconds * 1e3);
+    skew.push_back(stats.shard_mean_seconds > 0.0
+                       ? stats.shard_max_seconds / stats.shard_mean_seconds
+                       : 1.0);
+    shards = stats.dist_shards;
     benchmark::DoNotOptimize(result);
   }
 
   state.counters["queries"] = cov->batch.size();
-  state.counters["shards"] = stats.dist_shards;
-  state.counters["execute_ms"] = stats.execute_seconds * 1e3;
-  state.counters["merge_ms"] = stats.merge_seconds * 1e3;
-  state.counters["shard_skew"] =
-      stats.shard_mean_seconds > 0.0
-          ? stats.shard_max_seconds / stats.shard_mean_seconds
-          : 1.0;
+  state.counters["shards"] = shards;
+  state.counters["execute_ms"] = Median(execute_ms);
+  state.counters["merge_ms"] = Median(merge_ms);
+  state.counters["shard_skew"] = Median(skew);
   state.counters["work_ratio"] =
-      full->stats.execute_seconds > 0.0
-          ? stats.execute_seconds / full->stats.execute_seconds
-          : 0.0;
+      reference_ms > 0.0 ? Median(execute_ms) / reference_ms : 0.0;
   state.counters["merge_overhead_pct"] =
-      full->stats.execute_seconds > 0.0
-          ? 100.0 * stats.merge_seconds / full->stats.execute_seconds
-          : 0.0;
+      reference_ms > 0.0 ? 100.0 * Median(merge_ms) / reference_ms : 0.0;
 }
 BENCHMARK(BM_Dist_RetailerCovariance_ShardSweep)
     ->Arg(1)

@@ -138,12 +138,12 @@ void BM_E2E_RetailerCovariance_LmfaoPreparedExecuteLimitOverhead(
   Engine engine(&db.catalog, &db.tree, EngineOptions{});
   auto prepared = engine.Prepare(cov->batch);
   LMFAO_CHECK(prepared.ok());
-  ExecLimits limits;
-  limits.deadline_seconds = 3600.0;
-  limits.max_view_bytes = size_t{1} << 40;
+  ExecRequest request;
+  request.limits.deadline_seconds = 3600.0;
+  request.limits.max_view_bytes = size_t{1} << 40;
   ExecutionStats stats;
   for (auto _ : state) {
-    auto result = prepared->Execute(ParamPack{}, limits);
+    auto result = prepared->Execute(request);
     LMFAO_CHECK(result.ok()) << result.status().ToString();
     stats = result->stats;
     benchmark::DoNotOptimize(result);
@@ -310,8 +310,8 @@ DeltaRetailerInstance& DeltaRetailer(int64_t permille) {
 /// Incremental refresh of the covariance batch after appending
 /// 0.1%/1%/10% of Inventory (Arg is permille). The appends happen once,
 /// outside the timed loop; each iteration refreshes the SAME pre-append
-/// base result via ExecuteDelta (the base is untouched, so iterations are
-/// identical work). The headline ratio is delta_ms vs execute_ms — the
+/// base result via a delta request (the base is untouched, so iterations
+/// are identical work). The headline ratio is delta_ms vs execute_ms — the
 /// delta pass against a full prepared Execute at the appended epoch.
 void BM_E2E_RetailerCovariance_DeltaRefresh(benchmark::State& state) {
   DeltaRetailerInstance& instance = DeltaRetailer(state.range(0));
@@ -325,9 +325,11 @@ void BM_E2E_RetailerCovariance_DeltaRefresh(benchmark::State& state) {
   LMFAO_CHECK(base.ok());
   auto full = prepared->Execute();  // Full recompute at the new epoch.
   LMFAO_CHECK(full.ok());
+  ExecRequest refresh;
+  refresh.delta_base = &*base;
   ExecutionStats delta_stats;
   for (auto _ : state) {
-    auto refreshed = prepared->ExecuteDelta(*base);
+    auto refreshed = prepared->Execute(refresh);
     LMFAO_CHECK(refreshed.ok());
     delta_stats = refreshed->stats;
     benchmark::DoNotOptimize(refreshed);

@@ -4,9 +4,8 @@
 /// parallelism").
 ///
 /// Thread scaling of the Retailer covariance batch under the unified
-/// scheduler: the hybrid task+domain default swept over {1, 2, 4, hw}
-/// threads, plus the task-only and domain-only degenerations for
-/// comparison. Every parallel benchmark reports `speedup` relative to a
+/// scheduler: the hybrid task+domain scheduler swept over {1, 2, 4, hw}
+/// threads. Every parallel benchmark reports `speedup` relative to a
 /// sequential run measured once per process, and `peak_view_mib` (the
 /// ViewStore peak) so memory can be attributed alongside the speedup.
 
@@ -48,15 +47,12 @@ double SequentialSeconds() {
   return seconds;
 }
 
-void RunScheduler(benchmark::State& state, bool task, bool domain,
-                  int threads) {
+void RunScheduler(benchmark::State& state, int threads) {
   RetailerData& db = bench::Retailer(kRows);
   auto cov = BuildCovarianceBatch(bench::RetailerFeatures(db), db.catalog);
   LMFAO_CHECK(cov.ok());
   EngineOptions options;
   options.scheduler.num_threads = threads;
-  options.scheduler.task_parallel = task;
-  options.scheduler.domain_parallel = domain;
   Engine engine(&db.catalog, &db.tree, options);
   const double sequential = SequentialSeconds();
   auto warmup = engine.Evaluate(cov->batch);  // Symmetric with the baseline:
@@ -81,45 +77,20 @@ void RunScheduler(benchmark::State& state, bool task, bool domain,
 }
 
 void BM_Parallel_Sequential(benchmark::State& state) {
-  RunScheduler(state, /*task=*/false, /*domain=*/false, 1);
+  RunScheduler(state, 1);
 }
 BENCHMARK(BM_Parallel_Sequential)->Unit(benchmark::kMillisecond)->MinTime(2.0);
 
 /// The default parallel path: task + domain combined. Sweeps 1, 2, 4, and
 /// hardware-concurrency (arg 0) threads.
 void BM_Parallel_Hybrid(benchmark::State& state) {
-  RunScheduler(state, /*task=*/true, /*domain=*/true,
-               static_cast<int>(state.range(0)));
+  RunScheduler(state, static_cast<int>(state.range(0)));
 }
 BENCHMARK(BM_Parallel_Hybrid)
     ->Arg(1)
     ->Arg(2)
     ->Arg(4)
     ->Arg(0)  // Hardware concurrency.
-    ->Unit(benchmark::kMillisecond)
-    ->MinTime(2.0);
-
-void BM_Parallel_TaskOnly(benchmark::State& state) {
-  RunScheduler(state, /*task=*/true, /*domain=*/false,
-               static_cast<int>(state.range(0)));
-}
-BENCHMARK(BM_Parallel_TaskOnly)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(0)
-    ->Unit(benchmark::kMillisecond)
-    ->MinTime(2.0);
-
-void BM_Parallel_DomainOnly(benchmark::State& state) {
-  RunScheduler(state, /*task=*/false, /*domain=*/true,
-               static_cast<int>(state.range(0)));
-}
-BENCHMARK(BM_Parallel_DomainOnly)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(0)
     ->Unit(benchmark::kMillisecond)
     ->MinTime(2.0);
 

@@ -8,8 +8,9 @@
 ///   5. re-Execute a *parameterized* batch with new constants, paying no
 ///      recompile,
 ///   6. append rows through the catalog's epoch API — which invalidates
-///      nothing — and refresh a held result incrementally with
-///      ExecuteDelta (only the appended rows' contribution is computed).
+///      nothing — and refresh a held result incrementally with a delta
+///      request (ExecRequest::delta_base: only the appended rows'
+///      contribution is computed).
 ///
 /// Run: ./quickstart
 
@@ -135,7 +136,9 @@ int main() {
     std::fprintf(stderr, "%s\n", append_status.ToString().c_str());
     return 1;
   }
-  auto delta_or = prepared.ExecuteDelta(*rerun_or, params);
+  ExecRequest refresh(params);
+  refresh.delta_base = &*rerun_or;
+  auto delta_or = prepared.Execute(refresh);
   if (!delta_or.ok()) {
     std::fprintf(stderr, "%s\n", delta_or.status().ToString().c_str());
     return 1;

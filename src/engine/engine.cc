@@ -87,8 +87,8 @@ uint64_t KeySignature(const std::vector<uint64_t>& key) {
 }
 
 /// Hash of the bound values of the batch's required parameter slots.
-/// Recorded in BatchResult so ExecuteDelta can verify a base was computed
-/// under the same bindings.
+/// Recorded in BatchResult so a delta request can verify its base was
+/// computed under the same bindings.
 uint64_t ParamFingerprint(const std::vector<ParamId>& required,
                           const ParamPack& params) {
   uint64_t h = Mix64(0x243f6a88u);
@@ -372,98 +372,129 @@ StatusOr<BatchResult> PreparedBatch::RunPass(const PassSpec& spec,
   return result;
 }
 
-StatusOr<BatchResult> PreparedBatch::Execute(const ParamPack& params) const {
-  return Execute(params, options_.limits);
-}
-
-StatusOr<BatchResult> PreparedBatch::Execute(const ParamPack& params,
-                                             const ExecLimits& limits) const {
-  if (engine_ == nullptr || artifact_ == nullptr) {
-    return Status::FailedPrecondition(
-        "PreparedBatch::Execute on an empty handle");
+StatusOr<BatchResult> PreparedBatch::Execute(
+    const ExecRequest& request) const {
+  LMFAO_RETURN_NOT_OK(CheckExecutable(request.params));
+  Timer total_timer;
+  const Catalog& catalog = *engine_->catalog_;
+  EpochSnapshot target = request.epoch.has_value() ? *request.epoch
+                                                   : catalog.SnapshotEpoch();
+  if (target.rows.size() != static_cast<size_t>(catalog.num_relations())) {
+    return Status::InvalidArgument(
+        "Execute: epoch snapshot tracks " + std::to_string(target.rows.size()) +
+        " relations, catalog has " + std::to_string(catalog.num_relations()));
   }
-  return ExecuteAt(engine_->catalog_->SnapshotEpoch(), params, limits);
+  const uint64_t fingerprint =
+      ParamFingerprint(artifact_->required_params, request.params);
+  const bool sharded = request.shards > 0;
+
+  std::vector<PassSpec> passes;
+  SortedPins pins;  // Shared by every shard of a sharded request.
+  BatchResult result;
+  if (request.delta_base != nullptr) {
+    if (sharded) {
+      return Status::InvalidArgument(
+          "Execute: a delta refresh cannot be sharded (set delta_base or "
+          "shards, not both)");
+    }
+    LMFAO_ASSIGN_OR_RETURN(
+        passes, DeltaPasses(*request.delta_base, target, fingerprint));
+    // The passes fold into a private copy of the base results, returned
+    // only on full success: a trip (or any failure) leaves the caller's
+    // base untouched and able to seed a later retry.
+    result.results = request.delta_base->results;
+  } else if (sharded) {
+    LMFAO_ASSIGN_OR_RETURN(passes,
+                           ShardPasses(request.shards, target, &pins));
+  } else {
+    passes.emplace_back();
+    passes.back().rows = target;
+  }
+
+  std::vector<double> pass_seconds;
+  LMFAO_RETURN_NOT_OK(RunPasses(passes, request.params, request.limits,
+                                sharded ? "dist.shard_execute" : nullptr,
+                                &result, &pass_seconds));
+  ExecutionStats& stats = result.stats;
+  if (request.delta_base != nullptr) {
+    stats.delta_execution = true;
+    stats.delta_passes = static_cast<int>(passes.size());
+    for (const PassSpec& pass : passes) {
+      const RelationId r = pass.slice_node;
+      stats.delta_rows += pass.slice_hi - pass.slice_lo;
+      for (const GroupPlan& plan : artifact_->compiled.plans) {
+        if (r < 64 && ((plan.source_relation_mask >> r) & 1)) {
+          ++stats.delta_dirty_groups;
+        }
+      }
+    }
+  } else if (sharded) {
+    const size_t n = passes.size();
+    stats.dist_execution = true;
+    stats.dist_shards = static_cast<int>(n);
+    stats.dist_relation = passes[0].slice_node;
+    for (size_t s = 0; s < n; ++s) {
+      DistShardStats ss;
+      ss.shard = static_cast<int>(s);
+      ss.rows = passes[s].slice_hi - passes[s].slice_lo;
+      ss.seconds = pass_seconds[s];
+      stats.shard_max_seconds = std::max(stats.shard_max_seconds, ss.seconds);
+      stats.shard_mean_seconds += ss.seconds / static_cast<double>(n);
+      stats.dist_shard_stats.push_back(ss);
+    }
+  }
+  stats.total_seconds = total_timer.ElapsedSeconds();
+  // Every flavour carries the identity of a plain execution at the target
+  // epoch, so any result can seed a later delta refresh.
+  result.epoch = std::move(target);
+  result.artifact_signature = artifact_->signature;
+  result.param_fingerprint = fingerprint;
+  return result;
 }
 
 StatusOr<BatchResult> PreparedBatch::ExecuteAt(const EpochSnapshot& epoch,
                                                const ParamPack& params) const {
-  return ExecuteAt(epoch, params, options_.limits);
+  ExecRequest request(params);
+  request.epoch = epoch;
+  return Execute(request);
 }
 
-StatusOr<BatchResult> PreparedBatch::ExecuteAt(const EpochSnapshot& epoch,
-                                               const ParamPack& params,
-                                               const ExecLimits& limits) const {
-  LMFAO_RETURN_NOT_OK(CheckExecutable(params));
-  if (epoch.rows.size() !=
-      static_cast<size_t>(engine_->catalog_->num_relations())) {
-    return Status::InvalidArgument(
-        "ExecuteAt: epoch snapshot tracks " +
-        std::to_string(epoch.rows.size()) + " relations, catalog has " +
-        std::to_string(engine_->catalog_->num_relations()));
-  }
-  Timer total_timer;
-  std::vector<PassSpec> passes(1);
-  passes[0].rows = epoch;
-  BatchResult result;
-  LMFAO_RETURN_NOT_OK(
-      RunPasses(passes, params, limits, /*seam=*/nullptr, &result));
-  result.stats.total_seconds = total_timer.ElapsedSeconds();
-  result.epoch = epoch;
-  result.artifact_signature = artifact_->signature;
-  result.param_fingerprint =
-      ParamFingerprint(artifact_->required_params, params);
-  return result;
-}
-
-StatusOr<BatchResult> PreparedBatch::ExecuteDelta(const BatchResult& base,
-                                                  const ParamPack& params)
-    const {
-  return ExecuteDelta(base, params, options_.limits);
-}
-
-StatusOr<BatchResult> PreparedBatch::ExecuteDelta(const BatchResult& base,
-                                                  const ParamPack& params,
-                                                  const ExecLimits& limits)
-    const {
-  LMFAO_RETURN_NOT_OK(CheckExecutable(params));
+StatusOr<std::vector<PreparedBatch::PassSpec>> PreparedBatch::DeltaPasses(
+    const BatchResult& base, const EpochSnapshot& target,
+    uint64_t fingerprint) const {
   if (base.artifact_signature != artifact_->signature) {
     return Status::InvalidArgument(
-        "ExecuteDelta: base result was computed by a different batch shape "
+        "Execute: delta base was computed by a different batch shape "
         "(artifact signature mismatch)");
   }
-  const uint64_t fingerprint =
-      ParamFingerprint(artifact_->required_params, params);
   if (base.param_fingerprint != fingerprint) {
     return Status::InvalidArgument(
-        "ExecuteDelta: base result was computed under different parameter "
+        "Execute: delta base was computed under different parameter "
         "bindings; a delta under other parameters is not a delta of it");
   }
   const Catalog& catalog = *engine_->catalog_;
-  if (base.epoch.rows.size() != static_cast<size_t>(catalog.num_relations())) {
+  if (base.epoch.rows.size() != target.rows.size()) {
     return Status::InvalidArgument(
-        "ExecuteDelta: base epoch tracks " +
+        "Execute: delta base epoch tracks " +
         std::to_string(base.epoch.rows.size()) + " relations, catalog has " +
-        std::to_string(catalog.num_relations()));
+        std::to_string(target.rows.size()));
   }
 
-  Timer total_timer;
-  EpochSnapshot target = catalog.SnapshotEpoch();
   // Multilinearity: summing, over changed relations c_1 < ... < c_k, the
   // batch evaluated with c_i served as its appended slice, c_1..c_{i-1} at
   // their NEW watermarks and c_{i+1}..c_k (and everything unchanged) at the
   // OLD watermarks telescopes to exactly Q(new) - Q(old).
   std::vector<PassSpec> passes;
   EpochSnapshot serve = base.epoch;
-  size_t delta_rows = 0;
-  int dirty_groups = 0;
   for (RelationId r = 0; r < catalog.num_relations(); ++r) {
     const size_t old_rows = base.epoch.at(r);
     const size_t new_rows = target.at(r);
     if (new_rows < old_rows) {
       return Status::FailedPrecondition(
-          "ExecuteDelta: relation " + catalog.relation(r).name() +
-          " shrank below the base result's watermark — a non-append "
-          "mutation happened; call Engine::InvalidateCaches and re-execute");
+          "Execute: relation " + catalog.relation(r).name() +
+          " at the target epoch is below the delta base's watermark — the "
+          "target predates the base, or a non-append mutation happened; "
+          "call Engine::InvalidateCaches and re-execute");
     }
     if (new_rows == old_rows) continue;
     PassSpec pass;
@@ -474,42 +505,13 @@ StatusOr<BatchResult> PreparedBatch::ExecuteDelta(const BatchResult& base,
     passes.push_back(std::move(pass));
     // Later terms see this relation's new extent.
     serve.rows[static_cast<size_t>(r)] = new_rows;
-    delta_rows += new_rows - old_rows;
-    for (const GroupPlan& plan : artifact_->compiled.plans) {
-      if (r < 64 && ((plan.source_relation_mask >> r) & 1)) ++dirty_groups;
-    }
   }
-
-  // The passes fold into a private copy of the base results, returned only
-  // on full success: a trip (or any failure) leaves the caller's `base`
-  // untouched and able to seed a later retry.
-  BatchResult result;
-  result.results = base.results;
-  LMFAO_RETURN_NOT_OK(
-      RunPasses(passes, params, limits, /*seam=*/nullptr, &result));
-  result.stats.delta_execution = true;
-  result.stats.delta_passes = static_cast<int>(passes.size());
-  result.stats.delta_rows = delta_rows;
-  result.stats.delta_dirty_groups = dirty_groups;
-  result.stats.total_seconds = total_timer.ElapsedSeconds();
-  result.epoch = std::move(target);
-  result.artifact_signature = artifact_->signature;
-  result.param_fingerprint = fingerprint;
-  return result;
+  return passes;
 }
 
-StatusOr<BatchResult> PreparedBatch::ExecuteSharded(
-    int num_shards, const ParamPack& params) const {
-  return ExecuteSharded(num_shards, params, options_.limits);
-}
-
-StatusOr<BatchResult> PreparedBatch::ExecuteSharded(
-    int num_shards, const ParamPack& params, const ExecLimits& limits) const {
-  LMFAO_RETURN_NOT_OK(CheckExecutable(params));
-  Timer total_timer;
+StatusOr<std::vector<PreparedBatch::PassSpec>> PreparedBatch::ShardPasses(
+    int num_shards, const EpochSnapshot& epoch, SortedPins* pins) const {
   const Catalog& catalog = *engine_->catalog_;
-  const EpochSnapshot epoch = catalog.SnapshotEpoch();
-
   // Partition the largest relation some group reads (ties to the lowest
   // id). The batch is multilinear in it, so the shard results sum to the
   // whole; a relation outside every group's input closure would instead be
@@ -527,8 +529,7 @@ StatusOr<BatchResult> PreparedBatch::ExecuteSharded(
   }
   if (relation == kInvalidRelation) {
     return Status::InvalidArgument(
-        "ExecuteSharded: no group plan reads any relation; nothing to "
-        "partition");
+        "Execute: no group plan reads any relation; nothing to shard");
   }
 
   // Balanced contiguous ranges over positions [0, rows) of the relation's
@@ -539,44 +540,17 @@ StatusOr<BatchResult> PreparedBatch::ExecuteSharded(
   const size_t rows = epoch.at(relation);
   const size_t n = std::min<size_t>(std::max(num_shards, 1),
                                     std::max<size_t>(rows, 1));
-  SortedPins pins;
   std::vector<PassSpec> passes(n);
   size_t lo = 0;
   for (size_t s = 0; s < n; ++s) {
     passes[s].rows = epoch;
     passes[s].slice_node = relation;
-    passes[s].sorted_slice = &pins;
+    passes[s].sorted_slice = pins;
     passes[s].slice_lo = lo;
     lo += rows / n + (s < rows % n ? 1 : 0);
     passes[s].slice_hi = lo;
   }
-
-  BatchResult result;
-  std::vector<double> shard_seconds;
-  LMFAO_RETURN_NOT_OK(RunPasses(passes, params, limits, "dist.shard_execute",
-                                &result, &shard_seconds));
-  ExecutionStats& stats = result.stats;
-  stats.dist_execution = true;
-  stats.dist_shards = static_cast<int>(n);
-  stats.dist_relation = relation;
-  for (size_t s = 0; s < n; ++s) {
-    DistShardStats ss;
-    ss.shard = static_cast<int>(s);
-    ss.rows = passes[s].slice_hi - passes[s].slice_lo;
-    ss.seconds = shard_seconds[s];
-    stats.shard_max_seconds = std::max(stats.shard_max_seconds, ss.seconds);
-    stats.shard_mean_seconds += ss.seconds / static_cast<double>(n);
-    stats.dist_shard_stats.push_back(ss);
-  }
-  stats.total_seconds = total_timer.ElapsedSeconds();
-
-  // The same result identity as ExecuteAt at this epoch, so ExecuteDelta
-  // of a sharded base is valid.
-  result.epoch = epoch;
-  result.artifact_signature = artifact_->signature;
-  result.param_fingerprint =
-      ParamFingerprint(artifact_->required_params, params);
-  return result;
+  return passes;
 }
 
 Status PreparedBatch::RunPasses(const std::vector<PassSpec>& passes,
@@ -607,9 +581,7 @@ Status PreparedBatch::RunPasses(const std::vector<PassSpec>& passes,
     if (seam != nullptr) LMFAO_FAILPOINT(seam);
     Timer pass_timer;
     LMFAO_ASSIGN_OR_RETURN(BatchResult term, RunPass(pass, params, cancel));
-    if (pass_seconds != nullptr) {
-      pass_seconds->push_back(pass_timer.ElapsedSeconds());
-    }
+    pass_seconds->push_back(pass_timer.ElapsedSeconds());
     stats.AddPass(term.stats);
     if (result->results.empty()) {
       result->results = std::move(term.results);
@@ -625,22 +597,10 @@ Status PreparedBatch::RunPasses(const std::vector<PassSpec>& passes,
 }
 
 StatusOr<BatchResult> Engine::Evaluate(const QueryBatch& batch,
-                                       const ParamPack& params) {
+                                       const ExecRequest& request) {
   Timer total_timer;
   LMFAO_ASSIGN_OR_RETURN(PreparedBatch prepared, Prepare(batch));
-  LMFAO_ASSIGN_OR_RETURN(BatchResult result, prepared.Execute(params));
-  result.stats.compile_seconds = prepared.compile_seconds();
-  result.stats.plan_cache_hit = prepared.from_cache();
-  result.stats.total_seconds = total_timer.ElapsedSeconds();
-  return result;
-}
-
-StatusOr<BatchResult> Engine::Evaluate(const QueryBatch& batch,
-                                       const ParamPack& params,
-                                       const ExecLimits& limits) {
-  Timer total_timer;
-  LMFAO_ASSIGN_OR_RETURN(PreparedBatch prepared, Prepare(batch));
-  LMFAO_ASSIGN_OR_RETURN(BatchResult result, prepared.Execute(params, limits));
+  LMFAO_ASSIGN_OR_RETURN(BatchResult result, prepared.Execute(request));
   result.stats.compile_seconds = prepared.compile_seconds();
   result.stats.plan_cache_hit = prepared.from_cache();
   result.stats.total_seconds = total_timer.ElapsedSeconds();

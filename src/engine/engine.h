@@ -15,12 +15,14 @@
 ///     artifact (workload, groups, attribute orders, group plans with leaf
 ///     factor tables and flattened register programs) plus a frozen
 ///     snapshot of the engine options.
-///   - `PreparedBatch::Execute(params)` runs ONLY the execution layer. It
+///   - `PreparedBatch::Execute(request)` runs ONLY the execution layer. It
 ///     is repeatable and safe to call concurrently from multiple threads:
 ///     the compiled state is never mutated, and each Execute builds its own
-///     ExecutionContext. Parameterized functions (Function::IndicatorParam)
-///     resolve their threshold slots against `params` at group bind time.
-///   - `Engine::Evaluate(batch, params)` remains as the one-shot
+///     ExecutionContext. An `ExecRequest` carries the parameter bindings
+///     (Function::IndicatorParam slots resolve against them at group bind
+///     time) plus the optional epoch, delta base, shard count and limits;
+///     a bare ParamPack converts to a plain request.
+///   - `Engine::Evaluate(batch, request)` remains as the one-shot
 ///     convenience wrapper, literally Prepare + Execute.
 ///
 /// Prepare is backed by a *structural plan cache*: batches with equal
@@ -42,7 +44,9 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "engine/grouping.h"
@@ -66,8 +70,8 @@ class Engine;
 /// \brief Resource limits governing one execution call.
 ///
 /// Enforced by one CancelToken shared across the call's workers and, for
-/// the multi-pass executions (ExecuteDelta, ExecuteSharded), across all of
-/// its passes — the deadline bounds the whole call. Checked at
+/// the multi-pass requests (delta refreshes, sharded executions), across
+/// all of its passes — the deadline bounds the whole call. Checked at
 /// group boundaries, after every publish, and (interpreter tiers) amortized
 /// inside the trie iteration. A tripped deadline returns DeadlineExceeded,
 /// a tripped memory budget ResourceExhausted; either way the pass unwinds
@@ -96,8 +100,7 @@ struct EngineOptions {
   PlanOptions plan;
   /// The unified task+domain scheduler (parallel.h). Defaults to
   /// sequential execution (num_threads = 1); any larger thread count runs
-  /// the hybrid scheduler, whose task-only / domain-only degenerations are
-  /// toggles on SchedulerOptions.
+  /// the hybrid scheduler.
   SchedulerOptions scheduler;
   /// Maximum distinct batch shapes held by the structural plan cache
   /// (least-recently-used shapes are evicted beyond this; outstanding
@@ -117,10 +120,6 @@ struct EngineOptions {
   /// Bit-identical to the scalar shapes on all inputs, so it defaults on;
   /// execution-only, not part of the cache key.
   bool simd_kernels = true;
-  /// Default resource limits for every Execute of batches prepared under
-  /// these options; the per-call Execute(params, limits) overloads
-  /// override them. Execution-only, not part of the cache key.
-  ExecLimits limits;
 };
 
 /// \brief Per-group execution statistics.
@@ -153,8 +152,8 @@ struct GroupStats {
 };
 
 /// \brief One shard's figures from a sharded execution
-/// (PreparedBatch::ExecuteSharded): its slice of the partitioned relation
-/// and the wall time of its pass.
+/// (ExecRequest::shards): its slice of the partitioned relation and the
+/// wall time of its pass.
 struct DistShardStats {
   int shard = 0;
   /// Rows of the partitioned relation in this shard's slice.
@@ -197,7 +196,7 @@ struct ExecutionStats {
   size_t peak_view_payload_bytes = 0;
   /// Views frozen into sorted-array form (plan-layer freeze decision).
   int num_frozen_views = 0;
-  /// \name Delta execution (PreparedBatch::ExecuteDelta).
+  /// \name Delta execution (ExecRequest::delta_base).
   /// @{
   /// True when this result was produced by folding delta passes into a
   /// previous result instead of a full execution.
@@ -214,7 +213,7 @@ struct ExecutionStats {
   /// inputs.
   int delta_dirty_groups = 0;
   /// @}
-  /// \name Sharded execution (PreparedBatch::ExecuteSharded).
+  /// \name Sharded execution (ExecRequest::shards).
   /// @{
   /// True when this result was produced by folding per-shard partial
   /// results.
@@ -299,18 +298,48 @@ struct BatchResult {
   std::vector<QueryResult> results;  ///< Parallel to the batch's queries.
   ExecutionStats stats;
   /// The epoch this result reflects: per-relation committed row counts at
-  /// execution time. `PreparedBatch::ExecuteDelta` refreshes a result from
-  /// these watermarks to the current epoch by propagating only the rows in
-  /// between.
+  /// execution time. A delta request (ExecRequest::delta_base) refreshes a
+  /// result from these watermarks to a later epoch by propagating only the
+  /// rows in between.
   EpochSnapshot epoch;
-  /// Signature of the compiled artifact that produced this result;
-  /// ExecuteDelta refuses to fold deltas computed under a different batch
-  /// shape.
+  /// Signature of the compiled artifact that produced this result; a delta
+  /// request refuses to fold deltas computed under a different batch shape.
   uint64_t artifact_signature = 0;
-  /// Hash of the bound parameter values the result was computed under;
-  /// ExecuteDelta requires the same bindings (a delta under different
+  /// Hash of the bound parameter values the result was computed under; a
+  /// delta request requires the same bindings (a delta under different
   /// parameters is not a delta of this result).
   uint64_t param_fingerprint = 0;
+};
+
+/// \brief One execution of a prepared batch: what to bind, at which epoch,
+/// how to split it into passes, and under which limits.
+///
+/// Every field but `params` is optional, and the default request is a full
+/// execution at the current epoch. Converts implicitly from a ParamPack, so
+/// `Execute(params)` is the plain execution under those bindings.
+struct ExecRequest {
+  ExecRequest() = default;
+  ExecRequest(ParamPack p) : params(std::move(p)) {}  // NOLINT
+
+  /// Binds the batch's parameterized functions; every required slot must
+  /// be bound.
+  ParamPack params;
+  /// The epoch to execute at (from Catalog::SnapshotEpoch); unset = the
+  /// epoch snapshotted at call start. Reads exactly the rows committed at
+  /// that epoch regardless of appends since; it must not exceed the
+  /// current watermarks.
+  std::optional<EpochSnapshot> epoch;
+  /// Refreshes this earlier result of the same batch shape and bindings to
+  /// the target epoch instead of recomputing it: only the rows appended
+  /// between the two epochs are propagated. Borrowed for the call and
+  /// never modified, so one base can seed many refreshes.
+  const BatchResult* delta_base = nullptr;
+  /// > 0 runs the batch as this many row-range shards of one relation
+  /// (clamped to [1, rows]) folded together; <= 0 runs it unsharded.
+  /// Cannot be combined with `delta_base`.
+  int shards = 0;
+  /// Wall-clock and view-memory budget for the whole call (all passes).
+  ExecLimits limits;
 };
 
 /// \brief Inspection artifacts (used by the demo-style examples and the
@@ -356,10 +385,10 @@ struct CompiledArtifact {
 /// must outlive it) and shares the immutable compiled artifact; copying a
 /// PreparedBatch is cheap and copies share the artifact.
 ///
-/// Thread safety: `Execute` / `ExecuteAt` / `ExecuteDelta` may be called
-/// concurrently from any number of threads — each call builds a private
-/// ExecutionContext over the shared immutable artifact, and the engine's
-/// sorted-relation cache is internally synchronized. `Catalog::Append` may
+/// Thread safety: `Execute` / `ExecuteAt` may be called concurrently from
+/// any number of threads — each call builds private ExecutionContexts over
+/// the shared immutable artifact, and the engine's sorted-relation cache
+/// is internally synchronized. `Catalog::Append` may
 /// also run concurrently with executions: each execution reads an epoch
 /// snapshot, so it observes either none or all of any append.
 /// `Engine::InvalidateCaches` (required after *non-append* mutations) must
@@ -369,86 +398,63 @@ class PreparedBatch {
  public:
   PreparedBatch() = default;
 
-  /// Runs the execution layer over the compiled artifact. `params` binds
-  /// the batch's parameterized functions (all `required_params` slots must
-  /// be bound); a batch with no parameterized functions executes with the
-  /// default empty pack. Fails with FailedPrecondition when the handle is
-  /// stale (InvalidateCaches was called after Prepare).
+  /// Runs the execution layer over the compiled artifact as `request`
+  /// says. All `required_params` slots must be bound; a batch with no
+  /// parameterized functions executes with the default empty pack.
   ///
-  /// The execution reads the epoch snapshotted at call start: rows appended
-  /// concurrently (Catalog::Append) are not observed, and the snapshot is
-  /// recorded in BatchResult::epoch for later ExecuteDelta refreshes.
+  /// The execution reads one epoch snapshot — `request.epoch`, or the
+  /// epoch snapshotted at call start — so rows appended concurrently
+  /// (Catalog::Append) are not observed; the snapshot is recorded in
+  /// BatchResult::epoch for later delta refreshes. Every request reduces
+  /// to passes over the unchanged compiled plans (see PassSpec):
   ///
-  /// Resource governance: the options snapshot's `limits` (when enabled)
-  /// bound the pass's wall-clock and view memory; the two-argument
-  /// overload overrides them per call. A tripped limit returns
+  ///   - plain: one full pass at the target epoch.
+  ///   - `delta_base`: refreshes the base result (of this same batch shape
+  ///     under the same params) to the target epoch, propagating only the
+  ///     rows appended since `delta_base->epoch`. Since every aggregate is
+  ///     a SUM of products of per-relation factors, the batch is
+  ///     multilinear in its relations: for changed relations
+  ///     c_1 < ... < c_k,
+  ///       Q(R + dR) - Q(R) = sum_i Q(R_new for c_j<c_i, dR_i,
+  ///                                  R_old for c_j>c_i)
+  ///     so each pass serves one relation as its appended slice, pins the
+  ///     others to old/new watermarks, and its query outputs are added into
+  ///     a copy of the base results (ViewMap::MergeAdd). The result equals
+  ///     a full execution at the target epoch bit-for-bit on integer-exact
+  ///     data; a failed (or limit-tripped) refresh leaves the base
+  ///     untouched and re-refreshable.
+  ///   - `shards > 0`: partitions one base relation — the one with the most
+  ///     rows among those some group reads — into `shards` balanced
+  ///     contiguous ranges of its cached sort order at the target epoch
+  ///     (clamped to [1, rows]), runs one pass per shard with that relation
+  ///     served as its range, and folds the shards' outputs in shard order.
+  ///     A shard's range is copied out of the sorted snapshot, never
+  ///     re-sorted; each sort order is fetched once per call and pinned for
+  ///     all shards. Every query scans each relation once, so the result is
+  ///     bit-for-bit equal to the plain execution on integer-exact data.
+  ///
+  /// Every flavour returns the same result identity (epoch, artifact
+  /// signature, param fingerprint), so a sharded or refreshed result can
+  /// seed a later refresh.
+  ///
+  /// Resource governance: `request.limits` (when enabled) bound the whole
+  /// call's wall-clock and view memory. A tripped limit returns
   /// DeadlineExceeded / ResourceExhausted (message includes per-group
-  /// progress), the pass unwinds with zero leaked views, and the handle
+  /// progress), the passes unwind with zero leaked views, and the handle
   /// stays valid — a subsequent Execute with laxer limits succeeds.
-  StatusOr<BatchResult> Execute(const ParamPack& params = {}) const;
-  StatusOr<BatchResult> Execute(const ParamPack& params,
-                                const ExecLimits& limits) const;
+  ///
+  /// Errors: FailedPrecondition when the handle is stale (InvalidateCaches
+  /// ran after Prepare) or, for a delta request, when a relation's target
+  /// watermark is below `delta_base->epoch` (a non-append mutation without
+  /// InvalidateCaches); InvalidArgument when params are unbound, the epoch
+  /// tracks another relation count, `delta_base` came from a different
+  /// batch shape or parameter bindings, or `delta_base` is combined with
+  /// `shards > 0`.
+  StatusOr<BatchResult> Execute(const ExecRequest& request = {}) const;
 
-  /// Like Execute, but pins the execution to an explicit epoch (obtained
-  /// from Catalog::SnapshotEpoch), reading exactly the rows committed at
-  /// that epoch regardless of appends since. The epoch must not exceed the
-  /// current watermarks.
+  /// Execute pinned to `epoch` (shorthand for a request with that epoch).
   StatusOr<BatchResult> ExecuteAt(const EpochSnapshot& epoch,
                                   const ParamPack& params = {}) const;
-  StatusOr<BatchResult> ExecuteAt(const EpochSnapshot& epoch,
-                                  const ParamPack& params,
-                                  const ExecLimits& limits) const;
-
-  /// Incrementally refreshes `base` (a result of Execute / ExecuteAt /
-  /// ExecuteDelta of this same batch shape under the same `params`) to the
-  /// current epoch, propagating only the rows appended since
-  /// `base.epoch`. Returns a new result, bit-for-bit equal to a full
-  /// Execute at the refresh epoch; `base` is not modified, so one base can
-  /// seed many refreshes.
-  ///
-  /// Since every aggregate is a SUM of products of per-relation factors,
-  /// the batch is multilinear in its relations: for changed relations
-  /// c_1 < ... < c_k,
-  ///   Q(R + dR) - Q(R) = sum_i Q(R_new for c_j<c_i, dR_i, R_old for c_j>c_i)
-  /// so each pass re-runs the unchanged compiled plan with one relation
-  /// served as its appended slice and the others pinned to old/new
-  /// watermarks, and the pass's query outputs are added into the base
-  /// results (ViewMap::MergeAdd).
-  ///
-  /// Errors: FailedPrecondition when the handle is stale (a non-append
-  /// mutation invalidated it) or when any relation's watermark moved
-  /// backwards vs `base.epoch` (non-append mutation without
-  /// InvalidateCaches); InvalidArgument when `base` came from a different
-  /// batch shape or different parameter bindings, or params are unbound.
-  ///
-  /// A failed (or limit-tripped) ExecuteDelta leaves `base` untouched and
-  /// re-refreshable: the delta passes fold into a private copy of the base
-  /// results, which is only returned on full success.
-  StatusOr<BatchResult> ExecuteDelta(const BatchResult& base,
-                                     const ParamPack& params = {}) const;
-  StatusOr<BatchResult> ExecuteDelta(const BatchResult& base,
-                                     const ParamPack& params,
-                                     const ExecLimits& limits) const;
-
-  /// Sharded execution: partitions one base relation — the one with the
-  /// most rows among those some group reads — into `num_shards` balanced
-  /// contiguous ranges of its cached sort order at the call's epoch
-  /// (clamped to [1, rows]), runs the unchanged compiled plans once per
-  /// shard with that relation served as its range, and folds the shards'
-  /// query outputs with ViewMap::MergeAdd in shard order. A shard's range
-  /// is copied out of the sorted snapshot, never re-sorted; each sort
-  /// order of the relation is fetched once per call and pinned for all
-  /// shards. Any partition works: every query scans each relation once,
-  /// so multilinearity makes the result bit-for-bit equal to Execute on
-  /// integer-exact data (the per-key float summation order is shard-major
-  /// and deterministic). The returned BatchResult carries the
-  /// same epoch/signature/fingerprint a plain Execute would, so
-  /// ExecuteDelta composes: a sharded base refreshes incrementally.
-  StatusOr<BatchResult> ExecuteSharded(int num_shards,
-                                       const ParamPack& params = {}) const;
-  StatusOr<BatchResult> ExecuteSharded(int num_shards,
-                                       const ParamPack& params,
-                                       const ExecLimits& limits) const;
 
   bool valid() const { return artifact_ != nullptr; }
   /// The artifact accessors below require valid() (checked): an empty or
@@ -489,16 +495,16 @@ class PreparedBatch {
   /// One execution pass over the compiled plans: every relation is served
   /// at the extent `rows` says — except `slice_node` (when valid), which is
   /// served as the slice [slice_lo, slice_hi) instead. The one seam
-  /// every execution reduces to: ExecuteAt is a single pass with no slice,
-  /// each ExecuteDelta term slices a relation's appended rows, and each
-  /// ExecuteSharded shard slices its partition of a relation.
+  /// every request reduces to: a plain execution is a single pass with no
+  /// slice, each delta term slices a relation's appended rows, and each
+  /// shard slices its partition of a relation.
   struct PassSpec {
     EpochSnapshot rows;
     RelationId slice_node = kInvalidRelation;
     size_t slice_lo = 0;
     size_t slice_hi = 0;
     /// Null: the slice is committed rows [slice_lo, slice_hi), sorted on
-    /// their own (an ExecuteDelta term). Set: it is positions
+    /// their own (a delta term). Set: it is positions
     /// [slice_lo, slice_hi) of slice_node's sorted snapshot at `rows`,
     /// copied with no sort from the snapshot pinned here (a shard).
     SortedPins* sorted_slice = nullptr;
@@ -508,8 +514,8 @@ class PreparedBatch {
   StatusOr<BatchResult> RunPass(const PassSpec& spec, const ParamPack& params,
                                 const CancelToken& cancel) const;
 
-  /// The driver every execution goes through: ExecuteAt runs one pass,
-  /// ExecuteDelta and ExecuteSharded run several. Runs `passes` in order
+  /// The driver every request goes through: a plain execution runs one
+  /// pass, delta and sharded requests run several. Runs `passes` in order
   /// under ONE token armed from `limits`, so the deadline and budget bound
   /// the whole call rather than each pass, and hits the failpoint `seam`
   /// (when non-null) before every pass. Each
@@ -519,16 +525,29 @@ class PreparedBatch {
   /// pass-major and deterministic. `result->stats` is rebuilt from the
   /// artifact's figures plus every pass (ExecutionStats::AddPass, fold
   /// time in merge_seconds); the caller sets total_seconds.
-  /// `pass_seconds` (optional) receives each pass's wall time. On failure
+  /// `pass_seconds` receives each pass's wall time. On failure
   /// `result` is partially folded and must be discarded.
   Status RunPasses(const std::vector<PassSpec>& passes,
                    const ParamPack& params, const ExecLimits& limits,
                    const char* seam, BatchResult* result,
-                   std::vector<double>* pass_seconds = nullptr) const;
+                   std::vector<double>* pass_seconds) const;
 
-  /// Validates the handle and the bound params (the common preamble of
-  /// every Execute flavor).
+  /// Validates the handle and the bound params.
   Status CheckExecutable(const ParamPack& params) const;
+
+  /// The telescoping delta terms refreshing `base` to `target`: one pass
+  /// per relation that grew, in relation order. Validates that `base` has
+  /// this artifact's signature and `fingerprint`, and that no relation
+  /// shrank.
+  StatusOr<std::vector<PassSpec>> DeltaPasses(const BatchResult& base,
+                                              const EpochSnapshot& target,
+                                              uint64_t fingerprint) const;
+
+  /// `num_shards` balanced sorted slices of the largest relation some group
+  /// reads, at `epoch`; every pass slices the snapshots pinned in `pins`.
+  StatusOr<std::vector<PassSpec>> ShardPasses(int num_shards,
+                                              const EpochSnapshot& epoch,
+                                              SortedPins* pins) const;
 
   Engine* engine_ = nullptr;
   std::shared_ptr<const CompiledArtifact> artifact_;
@@ -577,17 +596,10 @@ class Engine {
   /// artifact from the plan cache) and returns the execute-many handle.
   StatusOr<PreparedBatch> Prepare(const QueryBatch& batch);
 
-  /// One-shot convenience: Prepare + Execute. `params` binds parameterized
-  /// functions, as in PreparedBatch::Execute. The three-argument overload
-  /// bounds the execution pass with `limits` (overriding the options
-  /// snapshot), as in PreparedBatch::Execute(params, limits) — the serving
-  /// layer uses it to give ad-hoc queries the same deadline budget as
-  /// prepared ones.
+  /// One-shot convenience: Prepare + PreparedBatch::Execute(request). The
+  /// stats record the compile this call paid.
   StatusOr<BatchResult> Evaluate(const QueryBatch& batch,
-                                 const ParamPack& params = {});
-  StatusOr<BatchResult> Evaluate(const QueryBatch& batch,
-                                 const ParamPack& params,
-                                 const ExecLimits& limits);
+                                 const ExecRequest& request = {});
 
   /// Drops cached sorted relations and compiled artifacts, and bumps the
   /// generation counter: every PreparedBatch handed out so far becomes
@@ -636,8 +648,8 @@ class Engine {
       RelationId node, const std::vector<AttrId>& order, size_t rows);
 
   /// Builds rows [lo, hi) of `node` sorted by `order`'s subsequence — the
-  /// delta slice of one ExecuteDelta term. Uncached (slices are small and
-  /// read once per consuming group).
+  /// slice of one delta term. Uncached (slices are small and read once per
+  /// consuming group).
   StatusOr<std::shared_ptr<const Relation>> SortedDeltaSlice(
       RelationId node, const std::vector<AttrId>& order, size_t lo,
       size_t hi);

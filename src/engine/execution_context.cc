@@ -111,14 +111,13 @@ Status ExecutionContext::Run(ExecutionStats* stats) {
   }
 
   const int threads = options_.ResolvedThreads();
-  if (threads > 1 && (options_.task_parallel || options_.domain_parallel)) {
+  if (threads > 1) {
     pool_ = std::make_unique<ThreadPool>(static_cast<size_t>(threads));
   }
 
   stats->groups.assign(grouped_.groups.size(), GroupStats{});
-  ThreadPool* task_pool = options_.task_parallel ? pool_.get() : nullptr;
   Status sched = ScheduleGroupsTimed(
-      grouped_, task_pool,
+      grouped_, pool_.get(),
       [&](int gid, const GroupStart& start) {
         return RunGroup(gid, start,
                         &stats->groups[static_cast<size_t>(gid)]);

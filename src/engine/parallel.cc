@@ -47,15 +47,12 @@ int SchedulerOptions::ResolvedThreads() const {
 int ChooseShardCount(int64_t rows, const SchedulerOptions& options,
                      int free_threads) {
   const int threads = options.ResolvedThreads();
-  if (!options.domain_parallel || threads <= 1) return 1;
+  if (threads <= 1) return 1;
   const int64_t floor = std::max<int64_t>(1, options.min_shard_rows);
   if (rows < 2 * floor) return 1;
   const int64_t by_size = rows / floor;
   // The caller's own slot is always available; idle workers add the rest.
-  // With task parallelism off the whole pool is idle between groups.
-  const int64_t by_slots =
-      options.task_parallel ? static_cast<int64_t>(free_threads) + 1
-                            : static_cast<int64_t>(threads);
+  const int64_t by_slots = static_cast<int64_t>(free_threads) + 1;
   const int64_t shards =
       std::min({by_size, by_slots, static_cast<int64_t>(threads)});
   return static_cast<int>(std::max<int64_t>(1, shards));
@@ -133,13 +130,6 @@ Status ScheduleGroupsTimed(
   std::unique_lock<std::mutex> lock(state.mu);
   state.cv.wait(lock, [&] { return state.completed >= state.total; });
   return state.first_error;
-}
-
-Status ScheduleGroups(const GroupedWorkload& grouped, ThreadPool* pool,
-                      const std::function<Status(int)>& run_group) {
-  return ScheduleGroupsTimed(
-      grouped, pool,
-      [&run_group](int gid, const GroupStart&) { return run_group(gid); });
 }
 
 }  // namespace lmfao

@@ -8,10 +8,8 @@
 /// maps that are merged afterwards. The two compose: every ready group runs
 /// as a task, and a group whose node relation is large enough claims idle
 /// pool slots for domain shards while other ready groups keep running
-/// (ChooseShardCount is the cost model). The three seed-era ParallelModes
-/// are the degenerate configurations of SchedulerOptions: sequential
-/// (num_threads = 1), task-only (domain_parallel = false), and domain-only
-/// (task_parallel = false).
+/// (ChooseShardCount is the cost model). One thread runs the groups
+/// sequentially in topological order.
 
 #ifndef LMFAO_ENGINE_PARALLEL_H_
 #define LMFAO_ENGINE_PARALLEL_H_
@@ -25,17 +23,11 @@
 
 namespace lmfao {
 
-/// \brief Configuration of the unified scheduler (replaces the seed's
-/// three-way ParallelMode enum).
+/// \brief Configuration of the unified scheduler.
 struct SchedulerOptions {
   /// Worker threads: 1 = sequential (the default), 0 = hardware
   /// concurrency.
   int num_threads = 1;
-  /// Run independent groups concurrently over the dependency graph.
-  bool task_parallel = true;
-  /// Shard large groups over their top-level trie values, merging per-shard
-  /// private maps afterwards.
-  bool domain_parallel = true;
   /// Cost-model floor: a group is sharded only when its node relation has
   /// at least 2 * min_shard_rows rows, and never into shards smaller than
   /// min_shard_rows.
@@ -58,8 +50,8 @@ struct GroupStart {
 /// caller plus `free_threads` idle workers), and by the thread count.
 /// `free_threads` is the number of threads not currently occupied by a
 /// group runner or shard helper (the runtime tracks true occupancy; see
-/// ExecutionContext::busy_threads_). Returns 1 when domain parallelism is
-/// off or the relation is too small.
+/// ExecutionContext::busy_threads_). Returns 1 when running sequentially
+/// or the relation is too small.
 int ChooseShardCount(int64_t rows, const SchedulerOptions& options,
                      int free_threads);
 
@@ -73,10 +65,6 @@ int ChooseShardCount(int64_t rows, const SchedulerOptions& options,
 Status ScheduleGroupsTimed(
     const GroupedWorkload& grouped, ThreadPool* pool,
     const std::function<Status(int, const GroupStart&)>& run_group);
-
-/// \brief Compatibility wrapper without start-of-group information.
-Status ScheduleGroups(const GroupedWorkload& grouped, ThreadPool* pool,
-                      const std::function<Status(int)>& run_group);
 
 }  // namespace lmfao
 

@@ -166,8 +166,9 @@ StatusOr<SigmaMatrix> SigmaRefresher::Current() const {
 }
 
 StatusOr<SigmaMatrix> SigmaRefresher::Refresh() {
-  LMFAO_ASSIGN_OR_RETURN(BatchResult refreshed,
-                         prepared_.ExecuteDelta(result_));
+  ExecRequest request;
+  request.delta_base = &result_;
+  LMFAO_ASSIGN_OR_RETURN(BatchResult refreshed, prepared_.Execute(request));
   result_ = std::move(refreshed);
   return Current();
 }

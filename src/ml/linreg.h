@@ -74,7 +74,7 @@ StatusOr<SigmaMatrix> ComputeSigmaLmfao(Engine* engine,
 ///
 /// Prepares the covariance batch once and executes it once at creation;
 /// every `Refresh()` folds only the rows appended since the held epoch
-/// into the retained batch result (PreparedBatch::ExecuteDelta) and
+/// into the retained batch result (an ExecRequest::delta_base refresh) and
 /// re-assembles Sigma — so a retrain after a trickle of appends pays the
 /// delta pass, not a full 800-aggregate recompute. New category values
 /// arriving in appended rows grow the one-hot blocks naturally: they show

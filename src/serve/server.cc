@@ -186,7 +186,8 @@ std::future<Response> Server::Submit(Request request) {
   return future;
 }
 
-std::unique_ptr<Server::QueuedRequest> Server::PopNext(bool prepared_only) {
+std::unique_ptr<Server::QueuedRequest> Server::PopNext(bool prepared_only,
+                                                       bool yield) {
   std::unique_lock<std::mutex> lock(mu_);
   if (prepared_only) {
     // Reserved workers sleep through non-prepared backlog; they wake only
@@ -204,7 +205,9 @@ std::unique_ptr<Server::QueuedRequest> Server::PopNext(bool prepared_only) {
   }
   cv_work_.wait(lock, [this] { return stop_ || queued_total_ > 0; });
   if (queued_total_ == 0) return nullptr;  // stop_ with drained queues
-  for (auto& queue : queues_) {  // strict class-priority order
+  // Class-priority order; a yielding worker tries prepared-execute last.
+  for (size_t k = 0; k < kNumRequestClasses; ++k) {
+    auto& queue = queues_[yield ? (k + 1) % kNumRequestClasses : k];
     if (queue.empty()) continue;
     std::unique_ptr<QueuedRequest> item = std::move(queue.front());
     queue.pop_front();
@@ -215,45 +218,87 @@ std::unique_ptr<Server::QueuedRequest> Server::PopNext(bool prepared_only) {
 }
 
 void Server::WorkerLoop(bool prepared_only) {
+  // After answering twins, serve a lower class first (see server.h).
+  bool yield = false;
   for (;;) {
-    std::unique_ptr<QueuedRequest> item = PopNext(prepared_only);
+    std::unique_ptr<QueuedRequest> item = PopNext(prepared_only, yield);
     if (item == nullptr) return;
-    const RequestClass cls = item->request.cls;
-    const bool expired_in_queue = Clock::now() > item->deadline;
+    const auto picked_at = Clock::now();
+    const bool expired_in_queue = picked_at > item->deadline;
     Response resp;
+    yield = false;
     if (expired_in_queue) {
       resp.status = Status::DeadlineExceeded(
           "deadline expired after " +
-          std::to_string(SecondsBetween(item->admitted_at, Clock::now()) *
-                         1e3) +
-          " ms in the " + RequestClassName(cls) + " queue");
-      resp.queue_seconds = SecondsBetween(item->admitted_at, Clock::now());
+          std::to_string(SecondsBetween(item->admitted_at, picked_at) * 1e3) +
+          " ms in the " + RequestClassName(item->request.cls) + " queue");
     } else {
-      const double queue_seconds =
-          SecondsBetween(item->admitted_at, Clock::now());
       resp = Process(*item);
-      resp.queue_seconds = queue_seconds;
-    }
-    const double total_seconds =
-        SecondsBetween(item->admitted_at, Clock::now());
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ClassStats& cs = stats_.of(cls);
       if (resp.status.ok()) {
-        ++cs.completed_ok;
-        if (resp.degraded) ++cs.degraded;
-      } else {
-        ++cs.failed;
+        for (std::unique_ptr<QueuedRequest>& twin :
+             ClaimTwins(*item, picked_at)) {
+          Response shared = resp;
+          shared.retries = 0;
+          shared.queue_seconds = SecondsBetween(twin->admitted_at, picked_at);
+          Complete(twin.get(), std::move(shared), false, /*coalesced=*/true);
+          yield = true;
+        }
       }
-      if (resp.status.code() == StatusCode::kDeadlineExceeded) {
-        ++cs.deadline_trips;
-      }
-      if (expired_in_queue) ++cs.expired_in_queue;
-      cs.retries += static_cast<uint64_t>(resp.retries);
-      cs.latency.Record(total_seconds);
     }
-    item->promise.set_value(std::move(resp));
+    resp.queue_seconds = SecondsBetween(item->admitted_at, picked_at);
+    Complete(item.get(), std::move(resp), expired_in_queue, false);
   }
+}
+
+std::vector<std::unique_ptr<Server::QueuedRequest>> Server::ClaimTwins(
+    const QueuedRequest& item, Clock::time_point picked_at) {
+  std::vector<std::unique_ptr<QueuedRequest>> twins;
+  const Request& request = item.request;
+  // Requests with bindings of their own, and the other classes, run alone.
+  if (request.cls != RequestClass::kPreparedExecute ||
+      request.params.size() != 0) {
+    return twins;
+  }
+  const auto now = Clock::now();
+  std::lock_guard<std::mutex> lock(mu_);
+  auto& queue = queues_[static_cast<size_t>(RequestClass::kPreparedExecute)];
+  for (auto it = queue.begin(); it != queue.end();) {
+    const QueuedRequest& other = **it;
+    if (other.request.batch == request.batch &&
+        other.request.shards == request.shards &&
+        other.request.params.size() == 0 && other.admitted_at <= picked_at &&
+        other.deadline > now) {
+      twins.push_back(std::move(*it));
+      it = queue.erase(it);
+      --queued_total_;
+    } else {
+      ++it;
+    }
+  }
+  return twins;
+}
+
+void Server::Complete(QueuedRequest* item, Response resp,
+                      bool expired_in_queue, bool coalesced) {
+  const double total_seconds = SecondsBetween(item->admitted_at, Clock::now());
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    ClassStats& cs = stats_.of(item->request.cls);
+    if (resp.status.ok()) {
+      ++cs.completed_ok;
+      if (resp.degraded) ++cs.degraded;
+      if (coalesced) ++cs.coalesced;
+    } else {
+      ++cs.failed;
+    }
+    if (resp.status.code() == StatusCode::kDeadlineExceeded) {
+      ++cs.deadline_trips;
+    }
+    if (expired_in_queue) ++cs.expired_in_queue;
+    cs.retries += static_cast<uint64_t>(resp.retries);
+    cs.latency.Record(total_seconds);
+  }
+  item->promise.set_value(std::move(resp));
 }
 
 Response Server::Process(QueuedRequest& item) {
@@ -269,9 +314,7 @@ Response Server::Process(QueuedRequest& item) {
     }
     batch = it->second.get();
   }
-  Response resp = RunWithRetries(item, batch);
-  resp.queue_seconds = 0.0;  // recomputed below from the worker's clocks
-  return resp;
+  return RunWithRetries(item, batch);
 }
 
 double Server::RemainingSeconds(const QueuedRequest& item) {
@@ -284,46 +327,41 @@ double Server::RemainingSeconds(const QueuedRequest& item) {
 StatusOr<BatchResult> Server::Attempt(const QueuedRequest& item,
                                       RegisteredBatch* batch,
                                       const ExecLimits& limits) {
-  switch (item.request.cls) {
-    case RequestClass::kPreparedExecute: {
-      // Request-level bindings override the registered defaults.
-      const ParamPack& params = item.request.params.size() > 0
-                                    ? item.request.params
-                                    : batch->params;
-      if (item.request.shards > 0) {
-        return batch->prepared.ExecuteSharded(item.request.shards, params,
-                                              limits);
-      }
-      return batch->prepared.Execute(params, limits);
-    }
-    case RequestClass::kDeltaRefresh: {
-      std::shared_ptr<const BatchResult> base;
-      {
-        std::lock_guard<std::mutex> lock(batch->mu);
-        base = batch->base;
-      }
-      StatusOr<BatchResult> refreshed =
-          batch->prepared.ExecuteDelta(*base, batch->params, limits);
-      if (refreshed.ok()) {
-        // Advance the pinned base so later refreshes fold from here — but
-        // never backwards: a slow refresh must not regress a newer base
-        // installed by a concurrent one.
-        std::lock_guard<std::mutex> lock(batch->mu);
-        if (EpochNotNewer(batch->base->epoch, refreshed->epoch)) {
-          batch->base = std::make_shared<const BatchResult>(*refreshed);
-        }
-      }
-      return refreshed;
-    }
-    case RequestClass::kAdHoc: {
-      // A parse error is InvalidArgument — not retryable, by design.
-      LMFAO_ASSIGN_OR_RETURN(
-          QueryBatch parsed,
-          ParseQueryBatch(item.request.text, *catalog_));
-      return engine_->Evaluate(parsed, item.request.params, limits);
+  const Request& request = item.request;
+  ExecRequest exec(request.params);
+  exec.limits = limits;
+  if (request.cls == RequestClass::kAdHoc) {
+    // A parse error is InvalidArgument — not retryable, by design.
+    LMFAO_ASSIGN_OR_RETURN(QueryBatch parsed,
+                           ParseQueryBatch(request.text, *catalog_));
+    return engine_->Evaluate(parsed, exec);
+  }
+  if (request.cls == RequestClass::kPreparedExecute) {
+    // Request-level bindings override the registered defaults.
+    if (request.params.size() == 0) exec.params = batch->params;
+    exec.shards = request.shards;
+    return batch->prepared.Execute(exec);
+  }
+  // Delta refresh: always under the registered bindings, from the pinned
+  // base.
+  std::shared_ptr<const BatchResult> base;
+  {
+    std::lock_guard<std::mutex> lock(batch->mu);
+    base = batch->base;
+  }
+  exec.params = batch->params;
+  exec.delta_base = base.get();
+  StatusOr<BatchResult> refreshed = batch->prepared.Execute(exec);
+  if (refreshed.ok()) {
+    // Advance the pinned base so later refreshes fold from here — but
+    // never backwards: a slow refresh must not regress a newer base
+    // installed by a concurrent one.
+    std::lock_guard<std::mutex> lock(batch->mu);
+    if (EpochNotNewer(batch->base->epoch, refreshed->epoch)) {
+      batch->base = std::make_shared<const BatchResult>(*refreshed);
     }
   }
-  return Status::Internal("unknown request class");
+  return refreshed;
 }
 
 Response Server::RunWithRetries(const QueuedRequest& item,

@@ -18,6 +18,12 @@
 ///     runs under an ExecLimits deadline equal to its remaining budget
 ///     (time spent queued counts against it; a request that expired in the
 ///     queue is answered DeadlineExceeded without executing).
+///   coalesce -> a successful prepared execution under the registered
+///     bindings also answers every identical request (same batch and
+///     shards, deadline not passed) queued before it was picked up: its
+///     epoch snapshot postdates their admission. The worker then pops one
+///     waiting lower-class request before the next prepared one, so a
+///     steady stream of identical prepared requests cannot starve them.
 ///   retry -> attempts that fail with a *retryable* status
 ///     (Status::IsRetryable: ResourceExhausted or transient faults such as
 ///     injected failpoints) are re-run with capped exponential backoff and
@@ -66,9 +72,9 @@ struct Request {
   /// Per-request deadline from admission to completion; <= 0 uses the
   /// server's default_deadline_seconds (0 there too = no deadline).
   double deadline_seconds = 0.0;
-  /// Shard count for prepared execution (kPreparedExecute only): > 0 runs
-  /// PreparedBatch::ExecuteSharded(shards) instead of Execute — same
-  /// result, computed as one pass per row-range shard folded together.
+  /// Shard count for prepared execution (kPreparedExecute only), passed
+  /// as ExecRequest::shards: > 0 runs the batch as that many row-range
+  /// shard passes folded together — same result; <= 0 runs it unsharded.
   int shards = 0;
 };
 
@@ -198,11 +204,18 @@ class Server {
   };
 
   void WorkerLoop(bool prepared_only);
-  /// Pops the highest-priority queued request (prepared_only workers pop
-  /// only the prepared-execute queue); null when stopping and
+  /// Pops the highest-priority queued request (prepared_only: only that
+  /// queue; `yield`: prepared-execute ranks last); null when stopping and
   /// (drain ? the worker's queues empty : always).
-  std::unique_ptr<QueuedRequest> PopNext(bool prepared_only);
+  std::unique_ptr<QueuedRequest> PopNext(bool prepared_only, bool yield);
   Response Process(QueuedRequest& item);
+  /// Dequeues the requests `item`'s successful result also answers (see
+  /// "coalesce" above); `picked_at` is when `item` was picked up.
+  std::vector<std::unique_ptr<QueuedRequest>> ClaimTwins(
+      const QueuedRequest& item, Clock::time_point picked_at);
+  /// Records `resp` in the class counters and resolves `item`'s future.
+  void Complete(QueuedRequest* item, Response resp, bool expired_in_queue,
+                bool coalesced);
   Response RunWithRetries(const QueuedRequest& item, RegisteredBatch* batch);
   /// One execution attempt for `item` (class dispatch).
   StatusOr<BatchResult> Attempt(const QueuedRequest& item,

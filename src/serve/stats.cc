@@ -75,6 +75,7 @@ void ClassStats::MergeFrom(const ClassStats& other) {
   retries += other.retries;
   deadline_trips += other.deadline_trips;
   degraded += other.degraded;
+  coalesced += other.coalesced;
   queue_depth_highwater =
       std::max(queue_depth_highwater, other.queue_depth_highwater);
   latency.MergeFrom(other.latency);

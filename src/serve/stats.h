@@ -24,7 +24,7 @@ enum class RequestClass {
   /// workload (e.g. the covariance batch a model retrains on).
   kPreparedExecute = 0,
   /// Incremental refresh of a registered batch's base result to the
-  /// current epoch (PreparedBatch::ExecuteDelta). Degrades to serving the
+  /// current epoch (ExecRequest::delta_base). Degrades to serving the
   /// pinned base epoch when the refresh cannot complete.
   kDeltaRefresh = 1,
   /// Parse + prepare + execute of query text — the most expensive and
@@ -99,6 +99,8 @@ struct ClassStats {
   /// OK responses served degraded (delta-refresh fell back to its pinned
   /// base epoch, or the engine reported degraded groups).
   uint64_t degraded = 0;
+  /// OK responses copied from an identical request's execution (coalesced).
+  uint64_t coalesced = 0;
   /// Deepest this class's queue has been.
   size_t queue_depth_highwater = 0;
   /// Admission-to-completion latency of admitted requests.

@@ -30,8 +30,8 @@ namespace lmfao {
 /// advances under one exclusive lock — so a snapshot never observes half an
 /// append, and executing against a snapshot pins every scan to the rows
 /// that were committed when it was taken. `PreparedBatch::Execute` takes a
-/// snapshot at call start; `PreparedBatch::ExecuteDelta` propagates exactly
-/// the rows between two snapshots.
+/// snapshot at call start; a delta request (`ExecRequest::delta_base`)
+/// propagates exactly the rows between two snapshots.
 struct EpochSnapshot {
   std::vector<size_t> rows;
 

@@ -1,5 +1,5 @@
 /// \file delta_execution_test.cc
-/// \brief Incremental delta execution (PreparedBatch::ExecuteDelta), pinned
+/// \brief Incremental delta execution (ExecRequest::delta_base), pinned
 /// differentially: randomized append schedules must refresh results
 /// bit-for-bit equal to a full recompute AND to the naive scan baseline
 /// (exact: the generator emits integer-valued data whose sums stay well
@@ -30,6 +30,7 @@ namespace {
 
 using ::lmfao::testing::AppendRandomRows;
 using ::lmfao::testing::AppendSchedule;
+using ::lmfao::testing::DeltaRequest;
 using ::lmfao::testing::ExactDatabase;
 using ::lmfao::testing::ExpectResultsMatch;
 using ::lmfao::testing::MakeExactBatch;
@@ -75,7 +76,7 @@ TEST_P(DeltaFuzzTest, RefreshMatchesRecomputeAndBaselineBitForBit) {
     for (int round = 0; round < 3; ++round) {
       ASSERT_NO_FATAL_FAILURE(AppendRandomRows(&db, &rng, &schedule));
       LMFAO_REPRO_TRACE(GetParam() * 131 + ci, schedule);
-      auto refreshed = prepared->ExecuteDelta(*current);
+      auto refreshed = prepared->Execute(DeltaRequest(*current));
       ASSERT_TRUE(refreshed.ok()) << refreshed.status().ToString();
       EXPECT_TRUE(refreshed->stats.delta_execution);
 
@@ -151,7 +152,7 @@ TEST_F(DeltaContractTest, AppendKeepsHandlesValidAndDeltaMatchesRecompute) {
   auto full = prepared->Execute();
   ASSERT_TRUE(full.ok()) << full.status().ToString();
 
-  auto refreshed = prepared->ExecuteDelta(*base);
+  auto refreshed = prepared->Execute(DeltaRequest(*base));
   ASSERT_TRUE(refreshed.ok()) << refreshed.status().ToString();
   EXPECT_TRUE(refreshed->stats.delta_execution);
   EXPECT_EQ(refreshed->stats.delta_passes, 1);
@@ -180,7 +181,7 @@ TEST_F(DeltaContractTest, NoAppendsIsAZeroPassCopy) {
   // An empty append commits an epoch but changes no watermark.
   ASSERT_TRUE(data_->catalog.AppendRows(data_->sales, {}).ok());
 
-  auto refreshed = prepared->ExecuteDelta(*base);
+  auto refreshed = prepared->Execute(DeltaRequest(*base));
   ASSERT_TRUE(refreshed.ok()) << refreshed.status().ToString();
   EXPECT_TRUE(refreshed->stats.delta_execution);
   EXPECT_EQ(refreshed->stats.delta_passes, 0);
@@ -197,16 +198,16 @@ TEST_F(DeltaContractTest, RepeatedRefreshFromOneBase) {
   ASSERT_TRUE(base.ok());
   AppendSales(80);
 
-  // ExecuteDelta is functional: the base is untouched, so refreshing from
+  // A delta refresh is functional: the base is untouched, so refreshing from
   // it twice gives identical results.
-  auto first = prepared->ExecuteDelta(*base);
-  auto second = prepared->ExecuteDelta(*base);
+  auto first = prepared->Execute(DeltaRequest(*base));
+  auto second = prepared->Execute(DeltaRequest(*base));
   ASSERT_TRUE(first.ok() && second.ok());
   ExpectResultsMatch(first->results, second->results, 0.0,
                      "repeated refresh from one base");
   // And the refreshed result seeds further refreshes.
   AppendSales(40, /*seed=*/11);
-  auto chained = prepared->ExecuteDelta(*first);
+  auto chained = prepared->Execute(DeltaRequest(*first));
   auto full = prepared->Execute();
   ASSERT_TRUE(chained.ok() && full.ok());
   ExpectResultsMatch(chained->results, full->results, 1e-9,
@@ -221,10 +222,10 @@ TEST_F(DeltaContractTest, StaleHandleAfterNonAppendMutation) {
   ASSERT_TRUE(base.ok());
 
   // A structural mutation (simulated by its required InvalidateCaches
-  // call) must fail ExecuteDelta with FailedPrecondition, distinctly from
+  // call) must fail a delta refresh with FailedPrecondition, distinctly from
   // appends, which keep the handle live.
   engine.InvalidateCaches();
-  auto stale = prepared->ExecuteDelta(*base);
+  auto stale = prepared->Execute(DeltaRequest(*base));
   EXPECT_FALSE(stale.ok());
   EXPECT_EQ(stale.status().code(), StatusCode::kFailedPrecondition);
 }
@@ -240,7 +241,7 @@ TEST_F(DeltaContractTest, ShrunkWatermarkFailsAsNonAppendMutation) {
   // deleted behind the epoch API's back.
   BatchResult doctored = *base;
   doctored.epoch.rows[static_cast<size_t>(data_->sales)] += 10;
-  auto refreshed = prepared->ExecuteDelta(doctored);
+  auto refreshed = prepared->Execute(DeltaRequest(doctored));
   EXPECT_FALSE(refreshed.ok());
   EXPECT_EQ(refreshed.status().code(), StatusCode::kFailedPrecondition);
 }
@@ -263,7 +264,7 @@ TEST_F(DeltaContractTest, MismatchedBaseIsRejected) {
   ASSERT_TRUE(other_prepared.ok());
   auto other_base = other_prepared->Execute();
   ASSERT_TRUE(other_base.ok());
-  auto mixed = prepared->ExecuteDelta(*other_base);
+  auto mixed = prepared->Execute(DeltaRequest(*other_base));
   EXPECT_FALSE(mixed.ok());
   EXPECT_EQ(mixed.status().code(), StatusCode::kInvalidArgument);
 }
@@ -293,12 +294,12 @@ TEST_F(DeltaContractTest, ParameterBindingsMustMatchTheBase) {
   // Different binding: not a delta of this base.
   ParamPack nonpromo;
   nonpromo.Set(0, 0.0);
-  auto wrong = prepared->ExecuteDelta(*base, nonpromo);
+  auto wrong = prepared->Execute(DeltaRequest(*base, nonpromo));
   EXPECT_FALSE(wrong.ok());
   EXPECT_EQ(wrong.status().code(), StatusCode::kInvalidArgument);
 
   // Same binding: refresh matches the full parameterized recompute.
-  auto refreshed = prepared->ExecuteDelta(*base, promo);
+  auto refreshed = prepared->Execute(DeltaRequest(*base, promo));
   auto full = prepared->Execute(promo);
   ASSERT_TRUE(refreshed.ok() && full.ok());
   ExpectResultsMatch(refreshed->results, full->results, 1e-9,
@@ -364,7 +365,7 @@ TEST_F(DeltaContractTest, ConcurrentAppendsDoNotPerturbOldEpochExecutes) {
 
   // All appends committed: a delta refresh of the pre-append result now
   // agrees with a full recompute.
-  auto refreshed = prepared->ExecuteDelta(*ref);
+  auto refreshed = prepared->Execute(DeltaRequest(*ref));
   auto full = prepared->Execute();
   ASSERT_TRUE(refreshed.ok() && full.ok());
   EXPECT_EQ(refreshed->stats.delta_rows,

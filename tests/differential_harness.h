@@ -10,7 +10,9 @@
 /// `ExpectResultsMatch` checks whole result vectors and, on mismatch,
 /// prints the first differing (key, slot) entries of the offending query,
 /// while `LMFAO_REPRO_TRACE` scopes every assertion with the RNG seed and
-/// mutation schedule needed to replay the exact failing run.
+/// mutation schedule needed to replay the exact failing run. The request
+/// shorthands at the end build the delta and sharded ExecRequests those
+/// suites compare.
 
 #ifndef LMFAO_TESTS_DIFFERENTIAL_HARNESS_H_
 #define LMFAO_TESTS_DIFFERENTIAL_HARNESS_H_
@@ -24,6 +26,7 @@
 #include <gtest/gtest.h>
 
 #include "baseline/naive_engine.h"
+#include "engine/engine.h"
 #include "query/query.h"
 #include "storage/view.h"
 
@@ -145,6 +148,22 @@ inline void ExpectResultsMatch(const std::vector<QueryResult>& got,
                     << DescribeResultDiff(got[q], want[q], rel_tol);
     }
   }
+}
+
+/// Request shorthands for the delta and sharded suites: a refresh of `base`
+/// (which must outlive the call) to the current epoch, and a `shards`-way
+/// sharded execution.
+inline ExecRequest DeltaRequest(const BatchResult& base,
+                                ParamPack params = {}) {
+  ExecRequest request(std::move(params));
+  request.delta_base = &base;
+  return request;
+}
+
+inline ExecRequest ShardedRequest(int shards, ParamPack params = {}) {
+  ExecRequest request(std::move(params));
+  request.shards = shards;
+  return request;
 }
 
 }  // namespace testing

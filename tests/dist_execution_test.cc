@@ -1,5 +1,5 @@
 /// \file dist_execution_test.cc
-/// \brief Sharded execution (PreparedBatch::ExecuteSharded), pinned
+/// \brief Sharded execution (ExecRequest::shards), pinned
 /// differentially: for every shard count the folded result must be
 /// bit-for-bit equal to the unsharded prepared Execute AND to the naive
 /// scan baseline (the exact generator emits integer data, so per-key sums
@@ -7,8 +7,9 @@
 /// plus the shard split (balanced covering ranges of the largest relation
 /// in the input closure, clamped shard counts), slices of the relation's
 /// sorted order under several orders and across a cache that moves to
-/// newer epochs mid-call, ExecuteDelta composition on a sharded base,
-/// shard observability, one deadline across all shard passes, and fault
+/// newer epochs mid-call, delta refreshes of a sharded base, requests
+/// combining a pinned epoch with a delta base or a shard count, shard
+/// observability, one deadline across all shard passes, and fault
 /// injection through the dist.shard_execute seam with zero leaked views.
 
 #include <algorithm>
@@ -39,10 +40,12 @@ namespace {
 
 using ::lmfao::testing::AppendRandomRows;
 using ::lmfao::testing::AppendSchedule;
+using ::lmfao::testing::DeltaRequest;
 using ::lmfao::testing::ExactDatabase;
 using ::lmfao::testing::ExpectResultsMatch;
 using ::lmfao::testing::MakeExactBatch;
 using ::lmfao::testing::MakeExactDatabase;
+using ::lmfao::testing::ShardedRequest;
 
 /// Saves the ambient failpoint configuration (the CI failpoints job sets
 /// LMFAO_FAILPOINTS for the whole binary) and restores it on scope exit.
@@ -111,7 +114,7 @@ TEST_P(DistFuzzTest, ShardedMatchesExecuteAndBaselineBitForBit) {
       ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
 
       for (int n : shard_counts) {
-        auto sharded = prepared->ExecuteSharded(n);
+        auto sharded = prepared->Execute(ShardedRequest(n));
         ASSERT_TRUE(sharded.ok())
             << label << " n=" << n << ": " << sharded.status().ToString();
         EXPECT_TRUE(sharded->stats.dist_execution);
@@ -128,14 +131,14 @@ TEST_P(DistFuzzTest, ShardedMatchesExecuteAndBaselineBitForBit) {
     ASSERT_NO_FATAL_FAILURE(check_all_counts("initial"));
 
     // A sharded result is a first-class base: its epoch/signature/
-    // fingerprint identity lets ExecuteDelta refresh it incrementally.
-    auto base = prepared->ExecuteSharded(4);
+    // fingerprint identity lets a delta request refresh it incrementally.
+    auto base = prepared->Execute(ShardedRequest(4));
     ASSERT_TRUE(base.ok()) << base.status().ToString();
     for (int round = 0; round < 2; ++round) {
       ASSERT_NO_FATAL_FAILURE(AppendRandomRows(&db, &rng, &schedule));
       LMFAO_REPRO_TRACE(GetParam() * 977 + ci, schedule);
 
-      auto refreshed = prepared->ExecuteDelta(*base);
+      auto refreshed = prepared->Execute(DeltaRequest(*base));
       ASSERT_TRUE(refreshed.ok()) << refreshed.status().ToString();
       auto full = prepared->Execute();
       ASSERT_TRUE(full.ok()) << full.status().ToString();
@@ -184,7 +187,7 @@ class ShardPlanTest : public ::testing::Test {
 };
 
 TEST_F(ShardPlanTest, BalancedRangesCoverTheRelation) {
-  auto sharded = prepared_.ExecuteSharded(4);
+  auto sharded = prepared_.Execute(ShardedRequest(4));
   ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
   const ExecutionStats& stats = sharded->stats;
   ASSERT_NE(stats.dist_relation, kInvalidRelation);
@@ -218,7 +221,7 @@ TEST_F(ShardPlanTest, BalancedRangesCoverTheRelation) {
 
 TEST_F(ShardPlanTest, ShardCountClampsToRowCountAndNeverBelowOne) {
   // Far more shards than rows: one shard per row.
-  auto many = prepared_.ExecuteSharded(1 << 20);
+  auto many = prepared_.Execute(ShardedRequest(1 << 20));
   ASSERT_TRUE(many.ok()) << many.status().ToString();
   EXPECT_EQ(static_cast<size_t>(many->stats.dist_shards),
             PartitionedRows(many->stats));
@@ -226,20 +229,28 @@ TEST_F(ShardPlanTest, ShardCountClampsToRowCountAndNeverBelowOne) {
     EXPECT_EQ(s.rows, 1u);
   }
 
-  // Zero or negative: a single shard over the whole relation.
-  for (int n : {0, -3}) {
-    auto one = prepared_.ExecuteSharded(n);
-    ASSERT_TRUE(one.ok()) << one.status().ToString();
-    EXPECT_EQ(one->stats.dist_shards, 1);
-    ASSERT_EQ(one->stats.dist_shard_stats.size(), 1u);
-    EXPECT_EQ(one->stats.dist_shard_stats[0].rows,
-              PartitionedRows(one->stats));
-  }
+  // One shard: a single slice over the whole relation.
+  auto one = prepared_.Execute(ShardedRequest(1));
+  ASSERT_TRUE(one.ok()) << one.status().ToString();
+  EXPECT_EQ(one->stats.dist_shards, 1);
+  ASSERT_EQ(one->stats.dist_shard_stats.size(), 1u);
+  EXPECT_EQ(one->stats.dist_shard_stats[0].rows, PartitionedRows(one->stats));
 
   auto full = prepared_.Execute();
   ASSERT_TRUE(full.ok());
   ExpectResultsMatch(many->results, full->results, 0.0,
                      "one shard per row vs unsharded execute");
+
+  // Zero or negative: unsharded, the plain execution.
+  for (int n : {0, -3}) {
+    auto plain = prepared_.Execute(ShardedRequest(n));
+    ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+    EXPECT_FALSE(plain->stats.dist_execution);
+    EXPECT_EQ(plain->stats.dist_shards, 0);
+    EXPECT_TRUE(plain->stats.dist_shard_stats.empty());
+    ExpectResultsMatch(plain->results, full->results, 0.0,
+                       "shards <= 0 vs unsharded execute");
+  }
 }
 
 TEST_F(ShardPlanTest, EmptyBatchHasNothingToPartition) {
@@ -247,7 +258,7 @@ TEST_F(ShardPlanTest, EmptyBatchHasNothingToPartition) {
   // one would count the (empty) result once per shard.
   auto prepared = engine_->Prepare(QueryBatch{});
   ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
-  auto sharded = prepared->ExecuteSharded(2);
+  auto sharded = prepared->Execute(ShardedRequest(2));
   EXPECT_FALSE(sharded.ok());
   EXPECT_EQ(sharded.status().code(), StatusCode::kInvalidArgument);
 }
@@ -278,7 +289,7 @@ TEST(ShardSliceTest, ExactWhenThePartitionedRelationIsReadUnderTwoOrders) {
   auto baseline = EvaluateBatchSharedScan(*joined, batch);
   ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
 
-  auto probe = prepared->ExecuteSharded(2);
+  auto probe = prepared->Execute(ShardedRequest(2));
   ASSERT_TRUE(probe.ok()) << probe.status().ToString();
   const RelationId relation = probe->stats.dist_relation;
   ASSERT_NE(relation, kInvalidRelation);
@@ -300,7 +311,7 @@ TEST(ShardSliceTest, ExactWhenThePartitionedRelationIsReadUnderTwoOrders) {
   const size_t rows = db.catalog.SnapshotEpoch().at(relation);
   ASSERT_GT(rows, 8u);
   for (int n : {2, 3, 5, 8, static_cast<int>(rows)}) {
-    auto sharded = prepared->ExecuteSharded(n);
+    auto sharded = prepared->Execute(ShardedRequest(n));
     ASSERT_TRUE(sharded.ok()) << "n=" << n << ": "
                               << sharded.status().ToString();
     EXPECT_EQ(sharded->stats.dist_relation, relation);
@@ -313,7 +324,7 @@ TEST(ShardSliceTest, ExactWhenThePartitionedRelationIsReadUnderTwoOrders) {
 
   // A delta refresh of a sharded base slices committed rows, not sorted
   // positions, and still lands on the full result.
-  auto base = prepared->ExecuteSharded(3);
+  auto base = prepared->Execute(ShardedRequest(3));
   ASSERT_TRUE(base.ok()) << base.status().ToString();
   std::vector<std::vector<Value>> appended;
   const Relation& rel = db.catalog.relation(relation);
@@ -323,7 +334,7 @@ TEST(ShardSliceTest, ExactWhenThePartitionedRelationIsReadUnderTwoOrders) {
     appended.push_back(std::move(row));
   }
   ASSERT_TRUE(db.catalog.AppendRows(relation, appended).ok());
-  auto refreshed = prepared->ExecuteDelta(*base);
+  auto refreshed = prepared->Execute(DeltaRequest(*base));
   ASSERT_TRUE(refreshed.ok()) << refreshed.status().ToString();
   auto after = prepared->Execute();
   ASSERT_TRUE(after.ok()) << after.status().ToString();
@@ -377,7 +388,7 @@ TEST(ShardSliceTest, ShardedCallStaysAtItsEpochWhileTheCacheMovesOn) {
       if (!newer.ok()) mover_errors.push_back(newer.status());
     }
   });
-  auto sharded = prepared->ExecuteSharded(4);
+  auto sharded = prepared->Execute(ShardedRequest(4));
   call_done.store(true);
   mover.join();
   Failpoints::Clear();
@@ -402,6 +413,113 @@ TEST(ShardSliceTest, ShardedCallStaysAtItsEpochWhileTheCacheMovesOn) {
                      "sharded call vs ExecuteAt its own epoch");
 }
 
+// --- Request combinations ------------------------------------------------
+
+// An ExecRequest may pin an epoch and add a delta base or a shard count;
+// either way the result must equal the plain execution at that epoch.
+
+/// Appends random rounds until the catalog's epoch moves.
+void AppendUntilEpochMoves(ExactDatabase* db, Rng* rng,
+                           AppendSchedule* schedule) {
+  const EpochSnapshot before = db->catalog.SnapshotEpoch();
+  while (db->catalog.SnapshotEpoch().rows == before.rows) {
+    ASSERT_NO_FATAL_FAILURE(AppendRandomRows(db, rng, schedule));
+  }
+}
+
+TEST(RequestShapeTest, DeltaToAPinnedEpochEqualsExecuteAt) {
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    Rng rng(seed * 131);
+    ExactDatabase db = MakeExactDatabase(&rng);
+    const QueryBatch batch = MakeExactBatch(db, &rng);
+    AppendSchedule schedule;
+    Engine engine(&db.catalog, &db.tree, EngineOptions{});
+    auto prepared = engine.Prepare(batch);
+    ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+    auto base = prepared->Execute();
+    ASSERT_TRUE(base.ok()) << base.status().ToString();
+
+    ASSERT_NO_FATAL_FAILURE(AppendUntilEpochMoves(&db, &rng, &schedule));
+    const EpochSnapshot between = db.catalog.SnapshotEpoch();
+    ASSERT_NO_FATAL_FAILURE(AppendUntilEpochMoves(&db, &rng, &schedule));
+    LMFAO_REPRO_TRACE(seed * 131, schedule);
+
+    ExecRequest request = DeltaRequest(*base);
+    request.epoch = between;
+    auto refreshed = prepared->Execute(request);
+    ASSERT_TRUE(refreshed.ok()) << refreshed.status().ToString();
+    EXPECT_TRUE(refreshed->stats.delta_execution);
+    EXPECT_GE(refreshed->stats.delta_passes, 1);
+    EXPECT_EQ(refreshed->epoch.rows, between.rows);
+    auto at = prepared->ExecuteAt(between);
+    ASSERT_TRUE(at.ok()) << at.status().ToString();
+    ExpectResultsMatch(refreshed->results, at->results, 0.0,
+                       "delta to a pinned epoch vs ExecuteAt it");
+
+    // The pinned refresh seeds the next one, to the current epoch.
+    auto current = prepared->Execute(DeltaRequest(*refreshed));
+    ASSERT_TRUE(current.ok()) << current.status().ToString();
+    auto full = prepared->Execute();
+    ASSERT_TRUE(full.ok()) << full.status().ToString();
+    ExpectResultsMatch(current->results, full->results, 0.0,
+                       "delta from a pinned refresh vs full execute");
+  }
+}
+
+TEST(RequestShapeTest, ShardedAtAPinnedEpochEqualsExecuteAt) {
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    Rng rng(seed * 257);
+    ExactDatabase db = MakeExactDatabase(&rng);
+    const QueryBatch batch = MakeExactBatch(db, &rng);
+    AppendSchedule schedule;
+    Engine engine(&db.catalog, &db.tree, EngineOptions{});
+    auto prepared = engine.Prepare(batch);
+    ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+    ASSERT_NO_FATAL_FAILURE(AppendUntilEpochMoves(&db, &rng, &schedule));
+    const EpochSnapshot pinned = db.catalog.SnapshotEpoch();
+    auto at = prepared->ExecuteAt(pinned);
+    ASSERT_TRUE(at.ok()) << at.status().ToString();
+    // Later appends, and a newer execution that moves the sorted cache on.
+    ASSERT_NO_FATAL_FAILURE(AppendUntilEpochMoves(&db, &rng, &schedule));
+    ASSERT_TRUE(prepared->Execute().ok());
+    LMFAO_REPRO_TRACE(seed * 257, schedule);
+
+    for (int n : {1, 2, 3, 7}) {
+      ExecRequest request = ShardedRequest(n);
+      request.epoch = pinned;
+      auto sharded = prepared->Execute(request);
+      ASSERT_TRUE(sharded.ok())
+          << "n=" << n << ": " << sharded.status().ToString();
+      EXPECT_TRUE(sharded->stats.dist_execution);
+      EXPECT_EQ(sharded->epoch.rows, pinned.rows);
+      size_t covered = 0;
+      for (const DistShardStats& s : sharded->stats.dist_shard_stats) {
+        covered += s.rows;
+      }
+      EXPECT_EQ(covered, pinned.at(sharded->stats.dist_relation));
+      ExpectResultsMatch(sharded->results, at->results, 0.0,
+                         "n=" + std::to_string(n) +
+                             ": sharded at a pinned epoch vs ExecuteAt it");
+    }
+  }
+}
+
+TEST(RequestShapeTest, DeltaBaseWithShardsIsInvalidArgument) {
+  Rng rng(5);
+  ExactDatabase db = MakeExactDatabase(&rng);
+  Engine engine(&db.catalog, &db.tree, EngineOptions{});
+  auto prepared = engine.Prepare(MakeExactBatch(db, &rng));
+  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+  auto base = prepared->Execute();
+  ASSERT_TRUE(base.ok()) << base.status().ToString();
+  ExecRequest request = DeltaRequest(*base);
+  request.shards = 2;
+  auto both = prepared->Execute(request);
+  ASSERT_FALSE(both.ok());
+  EXPECT_EQ(both.status().code(), StatusCode::kInvalidArgument)
+      << both.status().ToString();
+}
+
 // --- Observability -------------------------------------------------------
 
 TEST(DistStatsTest, ShardCountersAreCoherent) {
@@ -411,7 +529,7 @@ TEST(DistStatsTest, ShardCountersAreCoherent) {
   auto prepared = engine.Prepare(MakeExampleBatch(**data));
   ASSERT_TRUE(prepared.ok());
 
-  auto sharded = prepared->ExecuteSharded(4);
+  auto sharded = prepared->Execute(ShardedRequest(4));
   ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
   const ExecutionStats& stats = sharded->stats;
   EXPECT_TRUE(stats.dist_execution);
@@ -471,7 +589,7 @@ class DistFailpointTest : public ::testing::Test {
     const size_t base_bytes = ViewStore::GlobalLiveBytes();
     ASSERT_TRUE(Failpoints::Configure(spec).ok());
 
-    auto failed = prepared_.ExecuteSharded(4);
+    auto failed = prepared_.Execute(ShardedRequest(4));
     EXPECT_FALSE(failed.ok()) << spec << " did not inject";
     EXPECT_NE(failed.status().code(), StatusCode::kOk);
     EXPECT_GT(Failpoints::Hits(seam), 0u);
@@ -482,7 +600,7 @@ class DistFailpointTest : public ::testing::Test {
 
     Failpoints::Clear();
     Failpoints::ClearParked();
-    auto recovered = prepared_.ExecuteSharded(4);
+    auto recovered = prepared_.Execute(ShardedRequest(4));
     ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
     ExpectResultsMatch(recovered->results, oracle_.results, 0.0,
                        "recovery after " + spec);
@@ -507,9 +625,9 @@ TEST_F(DistFailpointTest, DeadlineSpansAllShardPasses) {
   // deadline, but the call as a whole does, and the deadline is the call's.
   FailpointGuard guard;
   ASSERT_TRUE(Failpoints::Configure("dist.shard_execute=delay:60").ok());
-  ExecLimits limits;
-  limits.deadline_seconds = 0.1;
-  auto timed_out = prepared_.ExecuteSharded(4, {}, limits);
+  ExecRequest request = ShardedRequest(4);
+  request.limits.deadline_seconds = 0.1;
+  auto timed_out = prepared_.Execute(request);
   ASSERT_FALSE(timed_out.ok());
   EXPECT_EQ(timed_out.status().code(), StatusCode::kDeadlineExceeded)
       << timed_out.status().ToString();
@@ -517,8 +635,8 @@ TEST_F(DistFailpointTest, DeadlineSpansAllShardPasses) {
   // The trip ended with the call: the same handle executes again.
   Failpoints::Clear();
   Failpoints::ClearParked();
-  limits.deadline_seconds = 300.0;
-  auto again = prepared_.ExecuteSharded(4, {}, limits);
+  request.limits.deadline_seconds = 300.0;
+  auto again = prepared_.Execute(request);
   ASSERT_TRUE(again.ok()) << again.status().ToString();
   ExpectResultsMatch(again->results, oracle_.results, 0.0,
                      "sharded execute after a deadline trip");
@@ -531,7 +649,7 @@ TEST_F(DistFailpointTest, DeadlineSpansAllShardPasses) {
 TEST(DistSweepTest, AmbientInjectionNeverCrashesAndRecovers) {
   FailpointGuard guard;
   // Build the fixture with injection suspended so ambient catalog/view
-  // specs cannot fail construction before any ExecuteSharded runs.
+  // specs cannot fail construction before any sharded execution runs.
   const std::string ambient = Failpoints::CurrentSpec();
   Failpoints::Clear();
   Failpoints::ClearParked();
@@ -550,7 +668,7 @@ TEST(DistSweepTest, AmbientInjectionNeverCrashesAndRecovers) {
   const size_t base_views = ViewStore::GlobalLiveViews();
   int failures = 0;
   for (int i = 0; i < 15; ++i) {
-    auto result = prepared->ExecuteSharded(1 + i % 4);
+    auto result = prepared->Execute(ShardedRequest(1 + i % 4));
     if (!result.ok()) {
       ++failures;
     } else {
@@ -561,7 +679,7 @@ TEST(DistSweepTest, AmbientInjectionNeverCrashesAndRecovers) {
   }
   Failpoints::Clear();
   Failpoints::ClearParked();
-  auto clean = prepared->ExecuteSharded(4);
+  auto clean = prepared->Execute(ShardedRequest(4));
   ASSERT_TRUE(clean.ok()) << clean.status().ToString();
   ExpectResultsMatch(clean->results, oracle->results, 0.0,
                      "clean sharded execute after ambient sweep (" +

@@ -81,21 +81,6 @@ TEST_F(EngineE2eTest, ExampleBatchHybridParallel) {
   ExpectMatchesBaseline(MakeExampleBatch(*data_), options);
 }
 
-TEST_F(EngineE2eTest, ExampleBatchTaskParallel) {
-  EngineOptions options;
-  options.scheduler.num_threads = 4;
-  options.scheduler.domain_parallel = false;
-  ExpectMatchesBaseline(MakeExampleBatch(*data_), options);
-}
-
-TEST_F(EngineE2eTest, ExampleBatchDomainParallel) {
-  EngineOptions options;
-  options.scheduler.num_threads = 4;
-  options.scheduler.task_parallel = false;
-  options.scheduler.min_shard_rows = 1;
-  ExpectMatchesBaseline(MakeExampleBatch(*data_), options);
-}
-
 /// Group-by attributes from every relation, roots auto-assigned.
 TEST_F(EngineE2eTest, GroupBysAcrossAllRelations) {
   QueryBatch batch;

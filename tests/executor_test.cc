@@ -185,13 +185,12 @@ TEST(ExecutorMicroTest, ShardsPartitionTopLevel) {
   Engine seq(&m.catalog, &m.tree, EngineOptions{});
   auto ref = seq.Evaluate(batch);
   ASSERT_TRUE(ref.ok());
-  // Domain-parallel run, sharding forced on the tiny relation.
+  // Hybrid run, sharding forced on the tiny relation.
   EngineOptions par;
   par.scheduler.num_threads = 3;
-  par.scheduler.task_parallel = false;
   par.scheduler.min_shard_rows = 1;
-  Engine dom(&m.catalog, &m.tree, par);
-  auto got = dom.Evaluate(batch);
+  Engine hybrid(&m.catalog, &m.tree, par);
+  auto got = hybrid.Evaluate(batch);
   ASSERT_TRUE(got.ok());
   ASSERT_EQ(ref->results[0].data.size(), got->results[0].data.size());
   ref->results[0].data.ForEach([&](const TupleKey& k, const double* p) {

@@ -3,7 +3,7 @@
 /// the native code path must produce results equal to the interpreter —
 /// bit-for-bit (rel_tol 0.0) on integer-exact data, where summation order
 /// cannot matter — across randomized schemas, dictionary functions,
-/// parameterized thresholds, and append/ExecuteDelta schedules; plus the
+/// parameterized thresholds, and append/delta-refresh schedules; plus the
 /// observability contract (backend tags, plan-cache JIT counters) and
 /// graceful degradation when no working compiler is available
 /// (LMFAO_JIT_CC=/bin/false ends in a failed module and an interpreter
@@ -30,6 +30,7 @@ namespace lmfao {
 namespace {
 
 using ::lmfao::testing::AppendSchedule;
+using ::lmfao::testing::DeltaRequest;
 using ::lmfao::testing::ExpectResultsMatch;
 
 EngineOptions JitOptionsSync() {
@@ -255,7 +256,7 @@ class JitFuzzTest : public ::testing::TestWithParam<uint64_t> {};
 
 /// The core contract: JIT, SIMD, and scalar-interpreter executions of the
 /// same prepared batch agree bit-for-bit on integer-exact data — through
-/// full executes AND through append/ExecuteDelta refresh schedules.
+/// full executes AND through append/delta-refresh schedules.
 TEST_P(JitFuzzTest, BackendsAgreeBitForBitThroughAppendSchedules) {
   LMFAO_REQUIRE_JIT();
   Rng rng(GetParam() * 977 + 5);
@@ -297,9 +298,9 @@ TEST_P(JitFuzzTest, BackendsAgreeBitForBitThroughAppendSchedules) {
   for (int round = 0; round < 3; ++round) {
     ASSERT_NO_FATAL_FAILURE(AppendRandomRows(&db, &rng, &schedule));
     LMFAO_REPRO_TRACE(GetParam() * 977 + 5, schedule);
-    auto jit_delta = jit_prepared->ExecuteDelta(*jit_result, params);
+    auto jit_delta = jit_prepared->Execute(DeltaRequest(*jit_result, params));
     auto interp_delta =
-        interp_prepared->ExecuteDelta(*interp_result, params);
+        interp_prepared->Execute(DeltaRequest(*interp_result, params));
     ASSERT_TRUE(jit_delta.ok()) << jit_delta.status().ToString();
     ASSERT_TRUE(interp_delta.ok()) << interp_delta.status().ToString();
     ExpectResultsMatch(jit_delta->results, interp_delta->results, 0.0,

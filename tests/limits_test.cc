@@ -22,6 +22,7 @@
 namespace lmfao {
 namespace {
 
+using ::lmfao::testing::DeltaRequest;
 using ::lmfao::testing::ExpectResultsMatch;
 
 class LimitsTest : public ::testing::Test {
@@ -49,9 +50,9 @@ TEST_F(LimitsTest, TinyDeadlineTripsWithProgressInMessage) {
 
   const size_t base_views = ViewStore::GlobalLiveViews();
   const size_t base_bytes = ViewStore::GlobalLiveBytes();
-  ExecLimits limits;
-  limits.deadline_seconds = 1e-9;
-  auto result = prepared->Execute(ParamPack{}, limits);
+  ExecRequest request;
+  request.limits.deadline_seconds = 1e-9;
+  auto result = prepared->Execute(request);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
   EXPECT_NE(result.status().message().find("groups completed"),
@@ -75,12 +76,12 @@ TEST_F(LimitsTest, TinyViewBudgetTripsAsResourceExhausted) {
   auto prepared = engine.Prepare(MakeExampleBatch(*data_));
   ASSERT_TRUE(prepared.ok());
 
-  ExecLimits limits;
-  limits.max_view_bytes = 1;
+  ExecRequest request;
+  request.limits.max_view_bytes = 1;
   for (int i = 0; i < 5; ++i) {
     const size_t base_views = ViewStore::GlobalLiveViews();
     const size_t base_bytes = ViewStore::GlobalLiveBytes();
-    auto result = prepared->Execute(ParamPack{}, limits);
+    auto result = prepared->Execute(request);
     ASSERT_FALSE(result.ok());
     EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted);
     // Every trip unwinds completely — no view survives a failed pass.
@@ -98,31 +99,15 @@ TEST_F(LimitsTest, GenerousLimitsAreExactAndUntripped) {
   Engine engine(&data_->catalog, &data_->tree, EngineOptions{});
   auto prepared = engine.Prepare(MakeExampleBatch(*data_));
   ASSERT_TRUE(prepared.ok());
-  ExecLimits limits;
-  limits.deadline_seconds = 300.0;
-  limits.max_view_bytes = size_t{1} << 40;
-  auto result = prepared->Execute(ParamPack{}, limits);
+  ExecRequest request;
+  request.limits.deadline_seconds = 300.0;
+  request.limits.max_view_bytes = size_t{1} << 40;
+  auto result = prepared->Execute(request);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->stats.limit_trips, 0);
   EXPECT_EQ(result->stats.degraded_groups, 0);
   ExpectResultsMatch(result->results, want->results, 0.0,
                      "governed vs ungoverned execute");
-}
-
-TEST_F(LimitsTest, EngineOptionDefaultsApplyAndPerCallOverrides) {
-  EngineOptions options;
-  options.limits.deadline_seconds = 1e-9;
-  Engine engine(&data_->catalog, &data_->tree, options);
-  auto prepared = engine.Prepare(MakeExampleBatch(*data_));
-  ASSERT_TRUE(prepared.ok());
-
-  // Execute() inherits the options' limits...
-  auto governed = prepared->Execute();
-  ASSERT_FALSE(governed.ok());
-  EXPECT_EQ(governed.status().code(), StatusCode::kDeadlineExceeded);
-  // ...and the per-call overload overrides them (here: back to unlimited).
-  auto overridden = prepared->Execute(ParamPack{}, ExecLimits{});
-  EXPECT_TRUE(overridden.ok()) << overridden.status().ToString();
 }
 
 /// The degradation path: a budget trip on a domain-sharded group (whose
@@ -154,7 +139,6 @@ TEST_F(LimitsTest, BudgetTripOnShardedGroupRetriesUnsharded) {
 
   EngineOptions options;
   options.scheduler.num_threads = 4;
-  options.scheduler.domain_parallel = true;
   options.scheduler.min_shard_rows = 8;
   Engine engine(&catalog, &tree, options);
   auto prepared = engine.Prepare(batch);
@@ -193,15 +177,15 @@ TEST_F(LimitsTest, DeltaFailureLeavesHeldBaseIntact) {
                   .ok());
 
   // The governed refresh trips...
-  ExecLimits limits;
-  limits.deadline_seconds = 1e-9;
-  auto failed = prepared->ExecuteDelta(*base, ParamPack{}, limits);
+  ExecRequest governed = DeltaRequest(*base);
+  governed.limits.deadline_seconds = 1e-9;
+  auto failed = prepared->Execute(governed);
   ASSERT_FALSE(failed.ok());
   EXPECT_EQ(failed.status().code(), StatusCode::kDeadlineExceeded);
 
   // ...but `base` is untouched: the same refresh re-run without limits
   // matches a full recompute exactly.
-  auto refreshed = prepared->ExecuteDelta(*base);
+  auto refreshed = prepared->Execute(DeltaRequest(*base));
   ASSERT_TRUE(refreshed.ok()) << refreshed.status().ToString();
   auto full = prepared->Execute();
   ASSERT_TRUE(full.ok());

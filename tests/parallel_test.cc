@@ -1,6 +1,6 @@
 /// \file parallel_test.cc
-/// \brief Tests of the group scheduler (task parallelism) and result parity
-/// across all parallel modes.
+/// \brief Tests of the group scheduler (task parallelism), the domain
+/// shard cost model, and hybrid-vs-sequential result parity.
 
 #include "engine/parallel.h"
 
@@ -38,7 +38,7 @@ GroupedWorkload MakeDiamond() {
 TEST(ScheduleGroupsTest, SequentialRespectsOrder) {
   GroupedWorkload g = MakeDiamond();
   std::vector<int> order;
-  auto st = ScheduleGroups(g, nullptr, [&](int gid) {
+  auto st = ScheduleGroupsTimed(g, nullptr, [&](int gid, const GroupStart&) {
     order.push_back(gid);
     return Status::OK();
   });
@@ -53,7 +53,7 @@ TEST(ScheduleGroupsTest, ParallelRespectsDependencies) {
   ThreadPool pool(4);
   std::mutex mu;
   std::vector<int> done;
-  auto st = ScheduleGroups(g, &pool, [&](int gid) {
+  auto st = ScheduleGroupsTimed(g, &pool, [&](int gid, const GroupStart&) {
     std::lock_guard<std::mutex> lock(mu);
     // Dependencies must already be complete.
     for (int dep : g.groups[static_cast<size_t>(gid)].depends_on) {
@@ -70,11 +70,12 @@ TEST(ScheduleGroupsTest, ErrorAbortsDownstream) {
   GroupedWorkload g = MakeDiamond();
   ThreadPool pool(2);
   std::atomic<int> runs{0};
-  auto st = ScheduleGroups(g, &pool, [&](int gid) -> Status {
-    runs.fetch_add(1);
-    if (gid == 0) return Status::Internal("boom");
-    return Status::OK();
-  });
+  auto st = ScheduleGroupsTimed(
+      g, &pool, [&](int gid, const GroupStart&) -> Status {
+        runs.fetch_add(1);
+        if (gid == 0) return Status::Internal("boom");
+        return Status::OK();
+      });
   EXPECT_FALSE(st.ok());
   EXPECT_EQ(st.code(), StatusCode::kInternal);
   // Only group 0 ran; 1, 2, 3 were skipped.
@@ -84,10 +85,11 @@ TEST(ScheduleGroupsTest, ErrorAbortsDownstream) {
 TEST(ScheduleGroupsTest, ErrorInParallelBranchPropagates) {
   GroupedWorkload g = MakeDiamond();
   ThreadPool pool(2);
-  auto st = ScheduleGroups(g, &pool, [&](int gid) -> Status {
-    if (gid == 2) return Status::IOError("branch failed");
-    return Status::OK();
-  });
+  auto st = ScheduleGroupsTimed(
+      g, &pool, [&](int gid, const GroupStart&) -> Status {
+        if (gid == 2) return Status::IOError("branch failed");
+        return Status::OK();
+      });
   EXPECT_FALSE(st.ok());
   EXPECT_EQ(st.code(), StatusCode::kIOError);
 }
@@ -95,7 +97,9 @@ TEST(ScheduleGroupsTest, ErrorInParallelBranchPropagates) {
 TEST(ScheduleGroupsTest, EmptyGraph) {
   GroupedWorkload g;
   ThreadPool pool(2);
-  EXPECT_TRUE(ScheduleGroups(g, &pool, [](int) { return Status::OK(); }).ok());
+  EXPECT_TRUE(ScheduleGroupsTimed(g, &pool, [](int, const GroupStart&) {
+                return Status::OK();
+              }).ok());
 }
 
 TEST(ScheduleGroupsTest, LargeChain) {
@@ -110,7 +114,7 @@ TEST(ScheduleGroupsTest, LargeChain) {
   }
   ThreadPool pool(4);
   std::atomic<int> last{-1};
-  auto st = ScheduleGroups(g, &pool, [&](int gid) {
+  auto st = ScheduleGroupsTimed(g, &pool, [&](int gid, const GroupStart&) {
     // Strict chain: must observe predecessor already done.
     EXPECT_EQ(last.load(), gid - 1);
     last.store(gid);
@@ -150,22 +154,14 @@ TEST(ChooseShardCountTest, CostModel) {
   EXPECT_EQ(ChooseShardCount(100000, options, 0), 1);
   // Size-bounded: 2500 rows support at most 2 shards of >= 1000 rows.
   EXPECT_EQ(ChooseShardCount(2500, options, 3), 2);
-  // Domain parallelism off.
-  options.domain_parallel = false;
-  EXPECT_EQ(ChooseShardCount(100000, options, 3), 1);
-  // Task parallelism off: the whole pool is available regardless of
-  // free_threads.
-  options.domain_parallel = true;
-  options.task_parallel = false;
-  EXPECT_EQ(ChooseShardCount(100000, options, 0), 4);
   // Sequential configuration never shards.
   options.num_threads = 1;
   EXPECT_EQ(ChooseShardCount(100000, options, 0), 1);
 }
 
-/// Full-engine parity: every scheduler configuration (hybrid, task-only,
-/// domain-only, forced fine-grained sharding) produces exactly the
-/// sequential results on a wide covariance batch.
+/// Full-engine parity: the hybrid scheduler, at the default shard floor
+/// and with every group sharded, produces the sequential results on a
+/// wide covariance batch.
 TEST(ParallelParityTest, CovarianceBatchAllSchedulerConfigs) {
   auto data = MakeFavorita(FavoritaOptions{.num_sales = 2000});
   ASSERT_TRUE(data.ok());
@@ -180,30 +176,17 @@ TEST(ParallelParityTest, CovarianceBatchAllSchedulerConfigs) {
   auto ref = seq.Evaluate(cov->batch);
   ASSERT_TRUE(ref.ok());
 
-  struct Config {
-    bool task;
-    bool domain;
-    int64_t min_shard_rows;
-  };
-  const std::vector<Config> configs = {
-      {true, true, 4096},  // Hybrid default.
-      {true, false, 4096},  // Task-only.
-      {false, true, 4096},  // Domain-only.
-      {true, true, 1},      // Hybrid, every group sharded.
-  };
-  for (const Config& config : configs) {
+  // The default floor, then every group sharded.
+  for (int64_t min_shard_rows : {int64_t{4096}, int64_t{1}}) {
     EngineOptions options;
     options.scheduler.num_threads = 4;
-    options.scheduler.task_parallel = config.task;
-    options.scheduler.domain_parallel = config.domain;
-    options.scheduler.min_shard_rows = config.min_shard_rows;
+    options.scheduler.min_shard_rows = min_shard_rows;
     Engine par(&(*data)->catalog, &(*data)->tree, options);
     auto got = par.Evaluate(cov->batch);
     ASSERT_TRUE(got.ok()) << got.status().ToString();
     for (size_t q = 0; q < ref->results.size(); ++q) {
       EXPECT_TRUE(ResultsEquivalent(ref->results[q], got->results[q], 1e-9))
-          << "task=" << config.task << " domain=" << config.domain
-          << " min_shard_rows=" << config.min_shard_rows << " query " << q;
+          << "min_shard_rows=" << min_shard_rows << " query " << q;
     }
   }
 }

@@ -20,6 +20,7 @@
 namespace lmfao {
 namespace {
 
+using ::lmfao::testing::DeltaRequest;
 using ::lmfao::testing::ExpectResultsMatch;
 
 class PreparedBatchTest : public ::testing::Test {
@@ -148,7 +149,7 @@ TEST_F(PreparedBatchTest, StaleHandleAfterInvalidateCaches) {
 TEST_F(PreparedBatchTest, AppendsKeepHandlesLiveInvalidateDoesNot) {
   // The two mutation classes are distinct: Catalog::Append advances the
   // epoch but does NOT invalidate prepared handles (Execute sees the new
-  // rows, ExecuteDelta folds them in); a structural mutation signalled via
+  // rows, a delta refresh folds them in); a structural mutation signalled via
   // InvalidateCaches strands the handle for both entry points.
   Engine engine(&data_->catalog, &data_->tree, EngineOptions{});
   const QueryBatch batch = MakeExampleBatch(*data_);
@@ -168,7 +169,7 @@ TEST_F(PreparedBatchTest, AppendsKeepHandlesLiveInvalidateDoesNot) {
   EXPECT_TRUE(prepared->valid());
   auto full = prepared->Execute();
   ASSERT_TRUE(full.ok()) << full.status().ToString();
-  auto refreshed = prepared->ExecuteDelta(*base);
+  auto refreshed = prepared->Execute(DeltaRequest(*base));
   ASSERT_TRUE(refreshed.ok()) << refreshed.status().ToString();
   ExpectResultsMatch(refreshed->results, full->results, 1e-9,
                      "post-append delta refresh vs full execute");
@@ -176,7 +177,7 @@ TEST_F(PreparedBatchTest, AppendsKeepHandlesLiveInvalidateDoesNot) {
   engine.InvalidateCaches();
   auto stale_execute = prepared->Execute();
   EXPECT_EQ(stale_execute.status().code(), StatusCode::kFailedPrecondition);
-  auto stale_delta = prepared->ExecuteDelta(*refreshed);
+  auto stale_delta = prepared->Execute(DeltaRequest(*refreshed));
   EXPECT_EQ(stale_delta.status().code(), StatusCode::kFailedPrecondition);
 }
 

@@ -180,8 +180,6 @@ TEST_P(EngineFuzzTest, AgreesWithBaselineAcrossConfigs) {
     bool multi;
     bool factorize;
     int threads;           // 1 = sequential.
-    bool task = true;
-    bool domain = true;
     int64_t min_shard_rows = 4096;
     bool freeze = true;
   };
@@ -191,13 +189,11 @@ TEST_P(EngineFuzzTest, AgreesWithBaselineAcrossConfigs) {
       {true, false, true, 1},
       {true, true, false, 1},
       // No freezing: every view stays in hash form.
-      {true, true, true, 1, true, true, 4096, false},
-      // Hybrid (the default parallel path), with sharding forced on every
-      // group by the min_shard_rows=1 floor.
-      {true, true, true, 3, true, true, 1},
-      // Task-only and domain-only degenerations.
-      {true, true, true, 3, true, false},
-      {true, true, true, 3, false, true, 1},
+      {true, true, true, 1, 4096, false},
+      // Hybrid (the default parallel path) at the default shard floor, and
+      // with sharding forced on every group by the min_shard_rows=1 floor.
+      {true, true, true, 3},
+      {true, true, true, 3, 1},
   };
   for (const Config& config : configs) {
     EngineOptions options;
@@ -206,8 +202,6 @@ TEST_P(EngineFuzzTest, AgreesWithBaselineAcrossConfigs) {
     options.plan.factorize = config.factorize;
     options.plan.freeze_views = config.freeze;
     options.scheduler.num_threads = config.threads;
-    options.scheduler.task_parallel = config.task;
-    options.scheduler.domain_parallel = config.domain;
     options.scheduler.min_shard_rows = config.min_shard_rows;
     Engine engine(&db.catalog, &db.tree, options);
     auto result = engine.Evaluate(batch);
@@ -215,8 +209,9 @@ TEST_P(EngineFuzzTest, AgreesWithBaselineAcrossConfigs) {
     std::ostringstream label;
     label << "vs baseline, merge=" << config.merge
           << " multi=" << config.multi << " factorize=" << config.factorize
-          << " threads=" << config.threads << " task=" << config.task
-          << " domain=" << config.domain << " freeze=" << config.freeze;
+          << " threads=" << config.threads
+          << " min_shard_rows=" << config.min_shard_rows
+          << " freeze=" << config.freeze;
     ::lmfao::testing::ExpectResultsMatch(result->results, *baseline, 1e-7,
                                          label.str());
   }

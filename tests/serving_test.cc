@@ -796,6 +796,84 @@ TEST(ServingTest, ShardedPreparedRequestMatchesUnsharded) {
   server.Shutdown();
 }
 
+/// Coalescing: a successful plain prepared execution also answers the
+/// identical requests queued before it started (same batch and shard
+/// count); a request admitted after it started, a different shard count
+/// or a request whose deadline already passed is not folded in. Every
+/// shared response must still equal a fresh execution at its epoch, and a
+/// queued ad-hoc request goes before the next prepared execution.
+TEST(ServingTest, QueuedIdenticalPreparedRequestsShareOneExecution) {
+  FailpointGuard guard;
+  Failpoints::Clear();
+
+  ExactServingDb db = MakeExactServingDb(0xc0a1);
+  Engine engine(&db.catalog, &db.tree, EngineOptions{});
+  ServerOptions options;
+  options.num_workers = 1;
+  Server server(&engine, &db.catalog, options);
+  const QueryBatch batch = MakeExactServingBatch(db);
+  ASSERT_TRUE(server.RegisterBatch("exact", batch).ok());
+
+  // Pin the only worker inside an occupying request, so everything below
+  // is admitted after the occupier was picked up.
+  ASSERT_TRUE(Failpoints::Configure("engine.sorted_cache=delay:40", 1).ok());
+  std::future<Response> occupier = server.Submit(PreparedRequest());
+  for (int spin = 0; Failpoints::Hits("engine.sorted_cache") == 0; ++spin) {
+    ASSERT_LT(spin, 20000) << "worker never reached the stalled seam";
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+
+  std::vector<std::future<Response>> plain, sharded;
+  for (int i = 0; i < 4; ++i) plain.push_back(server.Submit(PreparedRequest()));
+  Request doomed = PreparedRequest();
+  doomed.deadline_seconds = 1e-4;
+  std::future<Response> doomed_future = server.Submit(std::move(doomed));
+  for (int i = 0; i < 2; ++i) {
+    Request req = PreparedRequest();
+    req.shards = 2;
+    sharded.push_back(server.Submit(std::move(req)));
+  }
+  Request adhoc;
+  adhoc.cls = RequestClass::kAdHoc;
+  adhoc.text = kAdHocText;
+  std::future<Response> adhoc_future = server.Submit(std::move(adhoc));
+  Failpoints::Clear();
+
+  ASSERT_TRUE(occupier.get().status.ok());
+  EXPECT_EQ(doomed_future.get().status.code(), StatusCode::kDeadlineExceeded);
+  auto prepared = engine.Prepare(batch);
+  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+  std::vector<Response> responses;
+  for (auto* group : {&plain, &sharded}) {
+    for (auto& f : *group) {
+      Response resp = f.get();
+      ASSERT_TRUE(resp.status.ok()) << resp.status.ToString();
+      auto expect = prepared->ExecuteAt(resp.epoch);
+      ASSERT_TRUE(expect.ok()) << expect.status().ToString();
+      ExpectResultsMatch(resp.results, expect->results, 0.0,
+                         "coalesced prepared request");
+      responses.push_back(std::move(resp));
+    }
+  }
+  // One execution answered the four plain requests, one the two sharded.
+  for (size_t i = 1; i < 4; ++i) {
+    EXPECT_EQ(responses[i].epoch.rows, responses[0].epoch.rows);
+    EXPECT_EQ(responses[i].retries, 0);
+  }
+  // Admitted last but popped right after the coalesced plain execution,
+  // ahead of the sharded requests: it waited less than they did.
+  Response adhoc_resp = adhoc_future.get();
+  ASSERT_TRUE(adhoc_resp.status.ok()) << adhoc_resp.status.ToString();
+  EXPECT_LT(adhoc_resp.queue_seconds, responses[4].queue_seconds);
+  server.Shutdown();
+
+  const ServerStats all = server.stats();
+  const ClassStats& stats = all.of(RequestClass::kPreparedExecute);
+  EXPECT_EQ(stats.coalesced, 4u);
+  EXPECT_EQ(stats.completed_ok, 7u);
+  EXPECT_EQ(stats.expired_in_queue, 1u);
+}
+
 TEST(LatencyHistogramTest, PercentilesAreConservativeAndOrdered) {
   LatencyHistogram h;
   EXPECT_EQ(h.Percentile(99), 0.0);
