@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <iterator>
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
@@ -129,8 +130,12 @@ void Engine::InvalidateCaches() {
 }
 
 Engine::PlanCacheStats Engine::plan_cache_stats() const {
-  std::lock_guard<std::mutex> lock(plan_mu_);
   PlanCacheStats stats;
+  {
+    std::lock_guard<std::mutex> lock(cache_mu_);
+    stats.sorted_builds = sorted_builds_;
+  }
+  std::lock_guard<std::mutex> lock(plan_mu_);
   stats.hits = plan_cache_hits_;
   stats.misses = plan_cache_misses_;
   stats.entries = plan_cache_.size();
@@ -330,25 +335,10 @@ StatusOr<BatchResult> PreparedBatch::RunPass(const PassSpec& spec,
         if (node != spec.slice_node) {
           LMFAO_ASSIGN_OR_RETURN(
               snap, engine_->SortedRelationAt(node, order, spec.rows.at(node)));
-        } else if (spec.sorted_slice == nullptr) {
+        } else {
           LMFAO_ASSIGN_OR_RETURN(
               snap, engine_->SortedDeltaSlice(node, order, spec.slice_lo,
                                               spec.slice_hi));
-        } else {
-          SortedPins& pins = *spec.sorted_slice;
-          std::shared_ptr<const Relation> sorted;
-          {
-            std::lock_guard<std::mutex> lock(pins.mu);
-            std::shared_ptr<const Relation>& pinned = pins.by_order[order];
-            if (pinned == nullptr) {
-              LMFAO_ASSIGN_OR_RETURN(
-                  pinned,
-                  engine_->SortedRelationAt(node, order, spec.rows.at(node)));
-            }
-            sorted = pinned;
-          }
-          snap = std::make_shared<const Relation>(
-              sorted->SliceRows(spec.slice_lo, spec.slice_hi));
         }
         const Relation* raw = snap.get();
         std::lock_guard<std::mutex> lock(pin_set.mu);
@@ -386,35 +376,23 @@ StatusOr<BatchResult> PreparedBatch::Execute(
   }
   const uint64_t fingerprint =
       ParamFingerprint(artifact_->required_params, request.params);
-  const bool sharded = request.shards > 0;
 
   std::vector<PassSpec> passes;
-  SortedPins pins;  // Shared by every shard of a sharded request.
   BatchResult result;
   if (request.delta_base != nullptr) {
-    if (sharded) {
-      return Status::InvalidArgument(
-          "Execute: a delta refresh cannot be sharded (set delta_base or "
-          "shards, not both)");
-    }
     LMFAO_ASSIGN_OR_RETURN(
         passes, DeltaPasses(*request.delta_base, target, fingerprint));
     // The passes fold into a private copy of the base results, returned
     // only on full success: a trip (or any failure) leaves the caller's
     // base untouched and able to seed a later retry.
     result.results = request.delta_base->results;
-  } else if (sharded) {
-    LMFAO_ASSIGN_OR_RETURN(passes,
-                           ShardPasses(request.shards, target, &pins));
   } else {
     passes.emplace_back();
     passes.back().rows = target;
   }
 
-  std::vector<double> pass_seconds;
-  LMFAO_RETURN_NOT_OK(RunPasses(passes, request.params, request.limits,
-                                sharded ? "dist.shard_execute" : nullptr,
-                                &result, &pass_seconds));
+  LMFAO_RETURN_NOT_OK(
+      RunPasses(passes, request.params, request.limits, &result));
   ExecutionStats& stats = result.stats;
   if (request.delta_base != nullptr) {
     stats.delta_execution = true;
@@ -428,23 +406,9 @@ StatusOr<BatchResult> PreparedBatch::Execute(
         }
       }
     }
-  } else if (sharded) {
-    const size_t n = passes.size();
-    stats.dist_execution = true;
-    stats.dist_shards = static_cast<int>(n);
-    stats.dist_relation = passes[0].slice_node;
-    for (size_t s = 0; s < n; ++s) {
-      DistShardStats ss;
-      ss.shard = static_cast<int>(s);
-      ss.rows = passes[s].slice_hi - passes[s].slice_lo;
-      ss.seconds = pass_seconds[s];
-      stats.shard_max_seconds = std::max(stats.shard_max_seconds, ss.seconds);
-      stats.shard_mean_seconds += ss.seconds / static_cast<double>(n);
-      stats.dist_shard_stats.push_back(ss);
-    }
   }
   stats.total_seconds = total_timer.ElapsedSeconds();
-  // Every flavour carries the identity of a plain execution at the target
+  // Both flavours carry the identity of a plain execution at the target
   // epoch, so any result can seed a later delta refresh.
   result.epoch = std::move(target);
   result.artifact_signature = artifact_->signature;
@@ -509,55 +473,10 @@ StatusOr<std::vector<PreparedBatch::PassSpec>> PreparedBatch::DeltaPasses(
   return passes;
 }
 
-StatusOr<std::vector<PreparedBatch::PassSpec>> PreparedBatch::ShardPasses(
-    int num_shards, const EpochSnapshot& epoch, SortedPins* pins) const {
-  const Catalog& catalog = *engine_->catalog_;
-  // Partition the largest relation some group reads (ties to the lowest
-  // id). The batch is multilinear in it, so the shard results sum to the
-  // whole; a relation outside every group's input closure would instead be
-  // counted once per shard.
-  uint64_t eligible = 0;
-  for (const GroupPlan& plan : artifact_->compiled.plans) {
-    eligible |= plan.source_relation_mask;
-  }
-  RelationId relation = kInvalidRelation;
-  for (RelationId r = 0; r < catalog.num_relations() && r < 64; ++r) {
-    if (((eligible >> r) & 1) == 0) continue;
-    if (relation == kInvalidRelation || epoch.at(r) > epoch.at(relation)) {
-      relation = r;
-    }
-  }
-  if (relation == kInvalidRelation) {
-    return Status::InvalidArgument(
-        "Execute: no group plan reads any relation; nothing to shard");
-  }
-
-  // Balanced contiguous ranges over positions [0, rows) of the relation's
-  // sorted order at `epoch`: the first rows % n shards take one extra row.
-  // An empty relation still runs one (empty) shard. A group reading the
-  // relation under another order slices that order instead; each query
-  // scans the relation once, so per query the shards still partition it.
-  const size_t rows = epoch.at(relation);
-  const size_t n = std::min<size_t>(std::max(num_shards, 1),
-                                    std::max<size_t>(rows, 1));
-  std::vector<PassSpec> passes(n);
-  size_t lo = 0;
-  for (size_t s = 0; s < n; ++s) {
-    passes[s].rows = epoch;
-    passes[s].slice_node = relation;
-    passes[s].sorted_slice = pins;
-    passes[s].slice_lo = lo;
-    lo += rows / n + (s < rows % n ? 1 : 0);
-    passes[s].slice_hi = lo;
-  }
-  return passes;
-}
-
 Status PreparedBatch::RunPasses(const std::vector<PassSpec>& passes,
                                 const ParamPack& params,
-                                const ExecLimits& limits, const char* seam,
-                                BatchResult* result,
-                                std::vector<double>* pass_seconds) const {
+                                const ExecLimits& limits,
+                                BatchResult* result) const {
   CancelToken cancel;
   if (limits.enabled()) {
     cancel.ArmDeadline(limits.deadline_seconds);
@@ -578,10 +497,8 @@ Status PreparedBatch::RunPasses(const std::vector<PassSpec>& passes,
   stats.plan_seconds = artifact_->plan_seconds;
   stats.plan_cache_hit = true;
   for (const PassSpec& pass : passes) {
-    if (seam != nullptr) LMFAO_FAILPOINT(seam);
-    Timer pass_timer;
+    LMFAO_FAILPOINT("engine.pass");
     LMFAO_ASSIGN_OR_RETURN(BatchResult term, RunPass(pass, params, cancel));
-    pass_seconds->push_back(pass_timer.ElapsedSeconds());
     stats.AddPass(term.stats);
     if (result->results.empty()) {
       result->results = std::move(term.results);
@@ -616,8 +533,9 @@ StatusOr<std::shared_ptr<const Relation>> Engine::SortedRelationAt(
   }
 
   const std::pair<RelationId, std::vector<AttrId>> key{node, sub};
-  // The cache-extension seam: sorting/merging a snapshot is the largest
-  // transient allocation the engine itself makes.
+  // The sorted-cache seam, hit before every lookup (hits included):
+  // sorting/merging a snapshot is the largest transient allocation the
+  // engine itself makes.
   LMFAO_FAILPOINT("engine.sorted_cache");
   std::shared_ptr<const Relation> prefix;  // Largest cached epoch <= rows.
   {
@@ -668,12 +586,17 @@ StatusOr<std::shared_ptr<const Relation>> Engine::SortedRelationAt(
   }
 
   std::lock_guard<std::mutex> lock(cache_mu_);
+  ++sorted_builds_;
   auto& epochs = sorted_cache_[key];
   auto [eit, inserted] = epochs.emplace(rows, built);
   if (!inserted) return eit->second;  // A racing build won; use its copy.
-  // Keep only the two largest epochs per (node, order): the current one
-  // and the previous (which in-flight old-epoch executions pin anyway).
-  while (epochs.size() > 2) epochs.erase(epochs.begin());
+  // Keep two epochs per (node, order): the one just built and the largest
+  // other one. Evicting the oldest outright would drop the new entry when
+  // an epoch older than both cached ones is read, and every later read of
+  // that epoch would sort it again.
+  while (epochs.size() > 2) {
+    epochs.erase(epochs.begin() == eit ? std::next(eit) : epochs.begin());
+  }
   return built;
 }
 

@@ -20,8 +20,8 @@
 ///     the compiled state is never mutated, and each Execute builds its own
 ///     ExecutionContext. An `ExecRequest` carries the parameter bindings
 ///     (Function::IndicatorParam slots resolve against them at group bind
-///     time) plus the optional epoch, delta base, shard count and limits;
-///     a bare ParamPack converts to a plain request.
+///     time) plus the optional epoch, delta base and limits; a bare
+///     ParamPack converts to a plain request.
 ///   - `Engine::Evaluate(batch, request)` remains as the one-shot
 ///     convenience wrapper, literally Prepare + Execute.
 ///
@@ -70,8 +70,8 @@ class Engine;
 /// \brief Resource limits governing one execution call.
 ///
 /// Enforced by one CancelToken shared across the call's workers and, for
-/// the multi-pass requests (delta refreshes, sharded executions), across
-/// all of its passes — the deadline bounds the whole call. Checked at
+/// a delta refresh, across all of its passes — the deadline bounds the
+/// whole call. Checked at
 /// group boundaries, after every publish, and (interpreter tiers) amortized
 /// inside the trie iteration. A tripped deadline returns DeadlineExceeded,
 /// a tripped memory budget ResourceExhausted; either way the pass unwinds
@@ -151,17 +151,6 @@ struct GroupStats {
   size_t store_bytes() const { return store_key_bytes + store_payload_bytes; }
 };
 
-/// \brief One shard's figures from a sharded execution
-/// (ExecRequest::shards): its slice of the partitioned relation and the
-/// wall time of its pass.
-struct DistShardStats {
-  int shard = 0;
-  /// Rows of the partitioned relation in this shard's slice.
-  size_t rows = 0;
-  /// Wall time of the shard's pass.
-  double seconds = 0.0;
-};
-
 /// \brief Statistics of one batch evaluation.
 ///
 /// Timing is split along the Prepare/Execute boundary: `compile_seconds`
@@ -212,25 +201,9 @@ struct ExecutionStats {
   /// the groups that computed true deltas rather than replaying unchanged
   /// inputs.
   int delta_dirty_groups = 0;
-  /// @}
-  /// \name Sharded execution (ExecRequest::shards).
-  /// @{
-  /// True when this result was produced by folding per-shard partial
-  /// results.
-  bool dist_execution = false;
-  /// Effective shard count (after clamping to the partitioned relation's
-  /// rows); 0 on non-sharded executions.
-  int dist_shards = 0;
-  /// The relation whose row ranges the shards partitioned.
-  RelationId dist_relation = kInvalidRelation;
-  /// Time spent folding pass results into the final result maps
-  /// (ViewMap::MergeAdd); delta refreshes fill it too.
+  /// Time spent folding the delta passes' outputs into the base results
+  /// (ViewMap::MergeAdd).
   double merge_seconds = 0.0;
-  /// Max / mean local execute time across shards; their ratio is the
-  /// shard skew (1.0 = perfectly balanced).
-  double shard_max_seconds = 0.0;
-  double shard_mean_seconds = 0.0;
-  std::vector<DistShardStats> dist_shard_stats;
   /// @}
   /// \name Execution backend (see GroupStats::backend).
   /// @{
@@ -312,7 +285,7 @@ struct BatchResult {
 };
 
 /// \brief One execution of a prepared batch: what to bind, at which epoch,
-/// how to split it into passes, and under which limits.
+/// from which earlier result, and under which limits.
 ///
 /// Every field but `params` is optional, and the default request is a full
 /// execution at the current epoch. Converts implicitly from a ParamPack, so
@@ -334,10 +307,6 @@ struct ExecRequest {
   /// between the two epochs are propagated. Borrowed for the call and
   /// never modified, so one base can seed many refreshes.
   const BatchResult* delta_base = nullptr;
-  /// > 0 runs the batch as this many row-range shards of one relation
-  /// (clamped to [1, rows]) folded together; <= 0 runs it unsharded.
-  /// Cannot be combined with `delta_base`.
-  int shards = 0;
   /// Wall-clock and view-memory budget for the whole call (all passes).
   ExecLimits limits;
 };
@@ -423,19 +392,10 @@ class PreparedBatch {
   ///     a full execution at the target epoch bit-for-bit on integer-exact
   ///     data; a failed (or limit-tripped) refresh leaves the base
   ///     untouched and re-refreshable.
-  ///   - `shards > 0`: partitions one base relation — the one with the most
-  ///     rows among those some group reads — into `shards` balanced
-  ///     contiguous ranges of its cached sort order at the target epoch
-  ///     (clamped to [1, rows]), runs one pass per shard with that relation
-  ///     served as its range, and folds the shards' outputs in shard order.
-  ///     A shard's range is copied out of the sorted snapshot, never
-  ///     re-sorted; each sort order is fetched once per call and pinned for
-  ///     all shards. Every query scans each relation once, so the result is
-  ///     bit-for-bit equal to the plain execution on integer-exact data.
   ///
-  /// Every flavour returns the same result identity (epoch, artifact
-  /// signature, param fingerprint), so a sharded or refreshed result can
-  /// seed a later refresh.
+  /// Both flavours return the same result identity (epoch, artifact
+  /// signature, param fingerprint), so a refreshed result can seed a later
+  /// refresh. The failpoint `engine.pass` is hit before every pass.
   ///
   /// Resource governance: `request.limits` (when enabled) bound the whole
   /// call's wall-clock and view memory. A tripped limit returns
@@ -447,9 +407,8 @@ class PreparedBatch {
   /// ran after Prepare) or, for a delta request, when a relation's target
   /// watermark is below `delta_base->epoch` (a non-append mutation without
   /// InvalidateCaches); InvalidArgument when params are unbound, the epoch
-  /// tracks another relation count, `delta_base` came from a different
-  /// batch shape or parameter bindings, or `delta_base` is combined with
-  /// `shards > 0`.
+  /// tracks another relation count, or `delta_base` came from a different
+  /// batch shape or parameter bindings.
   StatusOr<BatchResult> Execute(const ExecRequest& request = {}) const;
 
   /// Execute pinned to `epoch` (shorthand for a request with that epoch).
@@ -484,30 +443,17 @@ class PreparedBatch {
  private:
   friend class Engine;
 
-  /// The sorted snapshots of one relation at one epoch, keyed by the plan
-  /// attribute order that requested them. The first pass reading an order
-  /// fetches it from the engine's sorted cache; the pin keeps it for every
-  /// later pass of the call, even if the cache prunes that epoch meanwhile.
-  struct SortedPins {
-    std::mutex mu;
-    std::map<std::vector<AttrId>, std::shared_ptr<const Relation>> by_order;
-  };
   /// One execution pass over the compiled plans: every relation is served
   /// at the extent `rows` says — except `slice_node` (when valid), which is
-  /// served as the slice [slice_lo, slice_hi) instead. The one seam
-  /// every request reduces to: a plain execution is a single pass with no
-  /// slice, each delta term slices a relation's appended rows, and each
-  /// shard slices its partition of a relation.
+  /// served as its committed rows [slice_lo, slice_hi), sorted on their
+  /// own. The one seam every request reduces to: a plain execution is a
+  /// single pass with no slice, and each delta term slices a relation's
+  /// appended rows.
   struct PassSpec {
     EpochSnapshot rows;
     RelationId slice_node = kInvalidRelation;
     size_t slice_lo = 0;
     size_t slice_hi = 0;
-    /// Null: the slice is committed rows [slice_lo, slice_hi), sorted on
-    /// their own (a delta term). Set: it is positions
-    /// [slice_lo, slice_hi) of slice_node's sorted snapshot at `rows`,
-    /// copied with no sort from the snapshot pinned here (a shard).
-    SortedPins* sorted_slice = nullptr;
   };
   /// Runs one pass governed by `cancel` (which may be unarmed). Only the
   /// pass-dependent stats are filled (see ExecutionStats::AddPass).
@@ -515,22 +461,20 @@ class PreparedBatch {
                                 const CancelToken& cancel) const;
 
   /// The driver every request goes through: a plain execution runs one
-  /// pass, delta and sharded requests run several. Runs `passes` in order
+  /// pass, a delta refresh one per grown relation. Runs `passes` in order
   /// under ONE token armed from `limits`, so the deadline and budget bound
-  /// the whole call rather than each pass, and hits the failpoint `seam`
-  /// (when non-null) before every pass. Each
-  /// pass's query outputs are folded into `result->results` with
-  /// ViewMap::MergeAdd in pass order — empty `result->results` take the
-  /// first pass's maps as they are — so the per-key summation order is
-  /// pass-major and deterministic. `result->stats` is rebuilt from the
-  /// artifact's figures plus every pass (ExecutionStats::AddPass, fold
-  /// time in merge_seconds); the caller sets total_seconds.
-  /// `pass_seconds` receives each pass's wall time. On failure
-  /// `result` is partially folded and must be discarded.
+  /// the whole call rather than each pass, and hits the failpoint
+  /// `engine.pass` before every pass. Each pass's query outputs are folded
+  /// into `result->results` with ViewMap::MergeAdd in pass order — empty
+  /// `result->results` take the first pass's maps as they are — so the
+  /// per-key summation order is pass-major and deterministic.
+  /// `result->stats` is rebuilt from the artifact's figures plus every pass
+  /// (ExecutionStats::AddPass, fold time in merge_seconds); the caller sets
+  /// total_seconds. On failure `result` is partially folded and must be
+  /// discarded.
   Status RunPasses(const std::vector<PassSpec>& passes,
                    const ParamPack& params, const ExecLimits& limits,
-                   const char* seam, BatchResult* result,
-                   std::vector<double>* pass_seconds) const;
+                   BatchResult* result) const;
 
   /// Validates the handle and the bound params.
   Status CheckExecutable(const ParamPack& params) const;
@@ -542,12 +486,6 @@ class PreparedBatch {
   StatusOr<std::vector<PassSpec>> DeltaPasses(const BatchResult& base,
                                               const EpochSnapshot& target,
                                               uint64_t fingerprint) const;
-
-  /// `num_shards` balanced sorted slices of the largest relation some group
-  /// reads, at `epoch`; every pass slices the snapshots pinned in `pins`.
-  StatusOr<std::vector<PassSpec>> ShardPasses(int num_shards,
-                                              const EpochSnapshot& epoch,
-                                              SortedPins* pins) const;
 
   Engine* engine_ = nullptr;
   std::shared_ptr<const CompiledArtifact> artifact_;
@@ -626,6 +564,9 @@ class Engine {
     size_t jit_failures = 0;
     /// Total compiler+link wall-clock of terminal modules still alive, ms.
     double jit_compile_ms = 0.0;
+    /// Sorted-relation snapshots built for the sorted cache (a full sort
+    /// or a prefix extension); a cache hit builds none.
+    size_t sorted_builds = 0;
   };
   PlanCacheStats plan_cache_stats() const;
 
@@ -641,9 +582,11 @@ class Engine {
   /// are immutable, shared, and cached per (node, order, rows); extending a
   /// cached smaller epoch costs a sort of the appended slice plus one
   /// linear stable merge (bit-identical to re-sorting from scratch, see
-  /// MergeSortedRelations), not a full re-sort. At most the two largest
-  /// epochs per (node, order) stay cached; executions pin the snapshots
-  /// they read, so pruning never invalidates an in-flight pass.
+  /// MergeSortedRelations), not a full re-sort. At most two epochs per
+  /// (node, order) stay cached: the one just built and the largest other
+  /// one, so an older epoch that is re-read stays cached too. Executions
+  /// pin the snapshots they read, so pruning never invalidates an
+  /// in-flight pass.
   StatusOr<std::shared_ptr<const Relation>> SortedRelationAt(
       RelationId node, const std::vector<AttrId>& order, size_t rows);
 
@@ -669,7 +612,9 @@ class Engine {
   std::map<std::pair<RelationId, std::vector<AttrId>>,
            std::map<size_t, std::shared_ptr<const Relation>>>
       sorted_cache_;
-  std::mutex cache_mu_;
+  /// Snapshots built into sorted_cache_ (under cache_mu_).
+  size_t sorted_builds_ = 0;
+  mutable std::mutex cache_mu_;
 
   /// Structural plan cache: signature -> (exact structural key, artifact,
   /// LRU position). The signature is a 64-bit hash of the structural key;

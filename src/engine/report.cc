@@ -74,25 +74,6 @@ std::string ReportExecution(const ExecutionStats& stats,
         stats.delta_passes, stats.delta_passes == 1 ? "" : "es",
         stats.delta_rows, stats.delta_dirty_groups);
   }
-  if (stats.dist_execution) {
-    const double skew =
-        stats.shard_mean_seconds > 0.0
-            ? stats.shard_max_seconds / stats.shard_mean_seconds
-            : 1.0;
-    out << StringPrintf(
-        "  sharded: %d shards of %s, merge %.2f ms, shard max/mean "
-        "%.2f/%.2f ms (skew %.2f)\n",
-        stats.dist_shards,
-        stats.dist_relation == kInvalidRelation
-            ? "?"
-            : catalog.relation(stats.dist_relation).name().c_str(),
-        stats.merge_seconds * 1e3,
-        stats.shard_max_seconds * 1e3, stats.shard_mean_seconds * 1e3, skew);
-    for (const DistShardStats& s : stats.dist_shard_stats) {
-      out << StringPrintf("    shard %d: %zu rows, %.2f ms\n", s.shard,
-                          s.rows, s.seconds * 1e3);
-    }
-  }
   constexpr double kMiB = 1024.0 * 1024.0;
   out << StringPrintf(
       "  view store: peak %zu live views (%.2f MiB peak: %.2f key + %.2f "

@@ -265,7 +265,6 @@ std::vector<std::unique_ptr<Server::QueuedRequest>> Server::ClaimTwins(
   for (auto it = queue.begin(); it != queue.end();) {
     const QueuedRequest& other = **it;
     if (other.request.batch == request.batch &&
-        other.request.shards == request.shards &&
         other.request.params.size() == 0 && other.admitted_at <= picked_at &&
         other.deadline > now) {
       twins.push_back(std::move(*it));
@@ -339,7 +338,6 @@ StatusOr<BatchResult> Server::Attempt(const QueuedRequest& item,
   if (request.cls == RequestClass::kPreparedExecute) {
     // Request-level bindings override the registered defaults.
     if (request.params.size() == 0) exec.params = batch->params;
-    exec.shards = request.shards;
     return batch->prepared.Execute(exec);
   }
   // Delta refresh: always under the registered bindings, from the pinned

@@ -19,11 +19,12 @@
 ///     (time spent queued counts against it; a request that expired in the
 ///     queue is answered DeadlineExceeded without executing).
 ///   coalesce -> a successful prepared execution under the registered
-///     bindings also answers every identical request (same batch and
-///     shards, deadline not passed) queued before it was picked up: its
-///     epoch snapshot postdates their admission. The worker then pops one
-///     waiting lower-class request before the next prepared one, so a
-///     steady stream of identical prepared requests cannot starve them.
+///     bindings also answers every identical request (same batch, no
+///     bindings of its own, deadline not passed) queued before it was
+///     picked up: its epoch snapshot postdates their admission. The worker
+///     then pops one waiting lower-class request before the next prepared
+///     one, so a steady stream of identical prepared requests cannot
+///     starve them.
 ///   retry -> attempts that fail with a *retryable* status
 ///     (Status::IsRetryable: ResourceExhausted or transient faults such as
 ///     injected failpoints) are re-run with capped exponential backoff and
@@ -72,9 +73,9 @@ struct Request {
   /// Per-request deadline from admission to completion; <= 0 uses the
   /// server's default_deadline_seconds (0 there too = no deadline).
   double deadline_seconds = 0.0;
-  /// Shard count for prepared execution (kPreparedExecute only), passed
-  /// as ExecRequest::shards: > 0 runs the batch as that many row-range
-  /// shard passes folded together — same result; <= 0 runs it unsharded.
+  /// Ignored: every request runs as one execution whatever this says, and
+  /// requests differing only in it coalesce. Kept so existing callers
+  /// compile; its removal is ROADMAP item 7.
   int shards = 0;
 };
 

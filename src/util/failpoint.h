@@ -41,10 +41,11 @@
 ///   viewmap.reserve, viewmap.rehash — ViewMap growth (parked, see below)
 ///   viewstore.register, viewstore.publish, viewstore.freeze
 ///   catalog.append               — epoch commit
-///   engine.sorted_cache          — sorted-relation cache (re)build
+///   engine.sorted_cache          — sorted-relation cache lookup, before
+///                                  every fetch (hits included)
+///   engine.pass                  — before every execution pass (one per
+///                                  plain execution, one per delta term)
 ///   scheduler.spawn              — group task spawn
-///   dist.shard_execute           — sharded execution, before each shard's
-///                                  pass
 ///
 /// Void seams: ViewMap::Reserve/Rehash run inside hot scan loops with no
 /// Status channel. They *park* the injected Status in a thread-local slot

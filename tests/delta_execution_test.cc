@@ -5,9 +5,12 @@
 /// (exact: the generator emits integer-valued data whose sums stay well
 /// below 2^53, so floating-point addition is associative on it), across
 /// engine configurations; plus the epoch/watermark contract (appends keep
-/// handles valid, pinned old-epoch executions are unaffected, non-append
-/// mutations fail cleanly) and concurrent appends-vs-executes (exercised
-/// under TSan by the tsan ctest preset).
+/// handles valid, pinned old-epoch executions are unaffected, refreshes to
+/// a pinned epoch equal ExecuteAt it, an older epoch that is re-read stays
+/// in the sorted cache, non-append mutations fail cleanly), concurrent
+/// appends-vs-executes (exercised under TSan by the tsan ctest preset),
+/// one deadline across all delta passes, and fault injection through the
+/// per-pass `engine.pass` seam with zero leaked views.
 
 #include <memory>
 #include <string>
@@ -23,6 +26,8 @@
 #include "differential_harness.h"
 #include "engine/engine.h"
 #include "exact_generator.h"
+#include "storage/view_store.h"
+#include "util/failpoint.h"
 #include "util/random.h"
 
 namespace lmfao {
@@ -35,6 +40,51 @@ using ::lmfao::testing::ExactDatabase;
 using ::lmfao::testing::ExpectResultsMatch;
 using ::lmfao::testing::MakeExactBatch;
 using ::lmfao::testing::MakeExactDatabase;
+
+/// Saves the ambient failpoint configuration (the CI failpoints job sets
+/// LMFAO_FAILPOINTS for the whole binary) and restores it on scope exit.
+class FailpointGuard {
+ public:
+  FailpointGuard() : saved_(Failpoints::CurrentSpec()) {}
+  ~FailpointGuard() {
+    if (saved_.empty()) {
+      Failpoints::Clear();
+    } else {
+      (void)Failpoints::Configure(saved_);
+    }
+    Failpoints::ClearParked();
+  }
+
+ private:
+  std::string saved_;
+};
+
+/// Appends random rounds until the catalog's epoch moves.
+void AppendUntilEpochMoves(ExactDatabase* db, Rng* rng,
+                           AppendSchedule* schedule) {
+  const EpochSnapshot before = db->catalog.SnapshotEpoch();
+  while (db->catalog.SnapshotEpoch().rows == before.rows) {
+    ASSERT_NO_FATAL_FAILURE(AppendRandomRows(db, rng, schedule));
+  }
+}
+
+/// Appends `rows` integer-exact rows to every relation, so a refresh across
+/// the append runs one delta pass per relation.
+void GrowEveryRelation(ExactDatabase* db, Rng* rng, int rows) {
+  for (RelationId r = 0; r < db->catalog.num_relations(); ++r) {
+    const Relation& rel = db->catalog.relation(r);
+    std::vector<std::vector<Value>> batch_rows(static_cast<size_t>(rows));
+    for (std::vector<Value>& row : batch_rows) {
+      for (int c = 0; c < rel.num_columns(); ++c) {
+        const int64_t v = rng->UniformInt(-3, 3);
+        row.push_back(rel.column(c).type() == AttrType::kInt
+                          ? Value::Int(v)
+                          : Value::Double(static_cast<double>(v)));
+      }
+    }
+    ASSERT_TRUE(db->catalog.AppendRows(r, batch_rows).ok());
+  }
+}
 
 class DeltaFuzzTest : public ::testing::TestWithParam<uint64_t> {};
 
@@ -372,6 +422,225 @@ TEST_F(DeltaContractTest, ConcurrentAppendsDoNotPerturbOldEpochExecutes) {
             static_cast<size_t>(kAppendBatches) * 25u);
   ExpectResultsMatch(refreshed->results, full->results, 1e-9,
                      "post-concurrency delta refresh");
+}
+
+// --- Request combinations ------------------------------------------------
+
+// A delta request may also pin its target epoch; the refresh must equal the
+// plain execution at that epoch, and seed a later refresh.
+TEST(RequestShapeTest, DeltaToAPinnedEpochEqualsExecuteAt) {
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    Rng rng(seed * 131);
+    ExactDatabase db = MakeExactDatabase(&rng);
+    const QueryBatch batch = MakeExactBatch(db, &rng);
+    AppendSchedule schedule;
+    Engine engine(&db.catalog, &db.tree, EngineOptions{});
+    auto prepared = engine.Prepare(batch);
+    ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+    auto base = prepared->Execute();
+    ASSERT_TRUE(base.ok()) << base.status().ToString();
+
+    ASSERT_NO_FATAL_FAILURE(AppendUntilEpochMoves(&db, &rng, &schedule));
+    const EpochSnapshot between = db.catalog.SnapshotEpoch();
+    ASSERT_NO_FATAL_FAILURE(AppendUntilEpochMoves(&db, &rng, &schedule));
+    LMFAO_REPRO_TRACE(seed * 131, schedule);
+
+    ExecRequest request = DeltaRequest(*base);
+    request.epoch = between;
+    auto refreshed = prepared->Execute(request);
+    ASSERT_TRUE(refreshed.ok()) << refreshed.status().ToString();
+    EXPECT_TRUE(refreshed->stats.delta_execution);
+    EXPECT_GE(refreshed->stats.delta_passes, 1);
+    EXPECT_EQ(refreshed->epoch.rows, between.rows);
+    auto at = prepared->ExecuteAt(between);
+    ASSERT_TRUE(at.ok()) << at.status().ToString();
+    ExpectResultsMatch(refreshed->results, at->results, 0.0,
+                       "delta to a pinned epoch vs ExecuteAt it");
+
+    // The pinned refresh seeds the next one, to the current epoch.
+    auto current = prepared->Execute(DeltaRequest(*refreshed));
+    ASSERT_TRUE(current.ok()) << current.status().ToString();
+    auto full = prepared->Execute();
+    ASSERT_TRUE(full.ok()) << full.status().ToString();
+    ExpectResultsMatch(current->results, full->results, 0.0,
+                       "delta from a pinned refresh vs full execute");
+  }
+}
+
+// --- Sorted cache ---------------------------------------------------------
+
+// The sorted cache keeps two epochs per (relation, order). Reading an epoch
+// older than both must cache it in place of the older of the two, not
+// build it and drop it at once: otherwise every ExecuteAt of that epoch
+// sorts its relations again.
+TEST(SortedCacheTest, ReReadOfAnOlderEpochStaysCached) {
+  Rng rng(8128);
+  ExactDatabase db = MakeExactDatabase(&rng);
+  Engine engine(&db.catalog, &db.tree, EngineOptions{});
+  auto prepared = engine.Prepare(MakeExactBatch(db, &rng));
+  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+
+  const EpochSnapshot epoch0 = db.catalog.SnapshotEpoch();
+  ASSERT_TRUE(prepared->Execute().ok());
+  // Two newer epochs displace epoch0 from the cache.
+  for (int round = 0; round < 2; ++round) {
+    ASSERT_NO_FATAL_FAILURE(GrowEveryRelation(&db, &rng, 2));
+    ASSERT_TRUE(prepared->Execute().ok());
+  }
+
+  auto first = prepared->ExecuteAt(epoch0);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  const size_t built = engine.plan_cache_stats().sorted_builds;
+  auto again = prepared->ExecuteAt(epoch0);
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_EQ(engine.plan_cache_stats().sorted_builds, built)
+      << "a second ExecuteAt of the older epoch sorted it again";
+  // The newest epoch stayed cached as well.
+  ASSERT_TRUE(prepared->Execute().ok());
+  EXPECT_EQ(engine.plan_cache_stats().sorted_builds, built);
+  ExpectResultsMatch(again->results, first->results, 0.0,
+                     "cached older epoch vs its first read");
+}
+
+// --- Faults and limits across delta passes --------------------------------
+
+/// An exact database whose every relation grew since `base_`, so a refresh
+/// of `base_` runs one delta pass per relation (at least three).
+class DeltaFailpointTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    Failpoints::Clear();
+    Failpoints::ClearParked();
+    Rng rng(31337);
+    db_ = std::make_unique<ExactDatabase>(MakeExactDatabase(&rng));
+    engine_ = std::make_unique<Engine>(&db_->catalog, &db_->tree,
+                                       EngineOptions{});
+    auto prepared = engine_->Prepare(MakeExactBatch(*db_, &rng));
+    ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+    prepared_ = std::move(prepared).value();
+    auto base = prepared_.Execute();
+    ASSERT_TRUE(base.ok()) << base.status().ToString();
+    base_ = std::move(base).value();
+    base_copy_ = base_;
+    ASSERT_NO_FATAL_FAILURE(GrowEveryRelation(db_.get(), &rng, 3));
+    auto oracle = prepared_.Execute();
+    ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
+    oracle_ = std::move(oracle).value();
+    ASSERT_GE(db_->catalog.num_relations(), 2);
+  }
+
+  /// Injects at `spec`, expects the delta refresh to fail without leaking
+  /// views or touching the base, then expects the same base to refresh
+  /// exactly after Clear. Returns the seam's hits in the failed call.
+  uint64_t CheckInjectionAndRecovery(const std::string& spec) {
+    FailpointGuard guard;
+    const size_t base_views = ViewStore::GlobalLiveViews();
+    const size_t base_bytes = ViewStore::GlobalLiveBytes();
+    EXPECT_TRUE(Failpoints::Configure(spec).ok());
+
+    auto failed = prepared_.Execute(DeltaRequest(base_));
+    EXPECT_FALSE(failed.ok()) << spec << " did not inject";
+    const uint64_t hits = Failpoints::Hits("engine.pass");
+    // The failed refresh unwound completely: no pass or half-folded result
+    // keeps views alive, and the held base is as it was.
+    EXPECT_EQ(ViewStore::GlobalLiveViews(), base_views);
+    EXPECT_EQ(ViewStore::GlobalLiveBytes(), base_bytes);
+    ExpectResultsMatch(base_.results, base_copy_.results, 0.0,
+                       "base after " + spec);
+
+    Failpoints::Clear();
+    Failpoints::ClearParked();
+    auto recovered = prepared_.Execute(DeltaRequest(base_));
+    EXPECT_TRUE(recovered.ok()) << recovered.status().ToString();
+    if (recovered.ok()) {
+      EXPECT_EQ(recovered->stats.delta_passes, db_->catalog.num_relations());
+      ExpectResultsMatch(recovered->results, oracle_.results, 0.0,
+                         "recovery after " + spec);
+    }
+    return hits;
+  }
+
+  std::unique_ptr<ExactDatabase> db_;
+  std::unique_ptr<Engine> engine_;
+  PreparedBatch prepared_;
+  BatchResult base_;
+  BatchResult base_copy_;
+  BatchResult oracle_;
+};
+
+TEST_F(DeltaFailpointTest, PassInjectionFailsCleanly) {
+  EXPECT_EQ(CheckInjectionAndRecovery("engine.pass=fail"), 1u);
+  // Mid-stream: the first pass succeeds and is folded, the second fails.
+  EXPECT_EQ(CheckInjectionAndRecovery("engine.pass=fail#2"), 2u);
+}
+
+TEST_F(DeltaFailpointTest, DeadlineSpansAllDeltaPasses) {
+  // Each delta pass is delayed 60 ms: no single pass exceeds the 100 ms
+  // deadline, but the refresh as a whole does, and the deadline is the
+  // call's.
+  FailpointGuard guard;
+  ASSERT_TRUE(Failpoints::Configure("engine.pass=delay:60").ok());
+  ExecRequest request = DeltaRequest(base_);
+  request.limits.deadline_seconds = 0.1;
+  auto timed_out = prepared_.Execute(request);
+  ASSERT_FALSE(timed_out.ok());
+  EXPECT_EQ(timed_out.status().code(), StatusCode::kDeadlineExceeded)
+      << timed_out.status().ToString();
+
+  // The trip ended with the call: the same handle refreshes again.
+  Failpoints::Clear();
+  Failpoints::ClearParked();
+  request.limits.deadline_seconds = 300.0;
+  auto again = prepared_.Execute(request);
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  ExpectResultsMatch(again->results, oracle_.results, 0.0,
+                     "delta refresh after a deadline trip");
+}
+
+/// Runs under whatever LMFAO_FAILPOINTS the environment installed (the CI
+/// failpoints job sweeps engine.pass specs through this test); with none
+/// configured it is a plain smoke test. Nothing may crash or leak views,
+/// and clearing the injection must restore exact answers.
+TEST(DeltaSweepTest, AmbientInjectionNeverCrashesAndRecovers) {
+  FailpointGuard guard;
+  // Build the fixture with injection suspended so ambient catalog/view
+  // specs cannot fail construction before any refresh runs.
+  const std::string ambient = Failpoints::CurrentSpec();
+  Failpoints::Clear();
+  Failpoints::ClearParked();
+  Rng rng(90210);
+  ExactDatabase db = MakeExactDatabase(&rng);
+  Engine engine(&db.catalog, &db.tree, EngineOptions{});
+  auto prepared = engine.Prepare(MakeExactBatch(db, &rng));
+  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+  auto base = prepared->Execute();
+  ASSERT_TRUE(base.ok()) << base.status().ToString();
+  ASSERT_NO_FATAL_FAILURE(GrowEveryRelation(&db, &rng, 3));
+  auto oracle = prepared->Execute();
+  ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
+  if (!ambient.empty()) {
+    ASSERT_TRUE(Failpoints::Configure(ambient).ok());
+  }
+
+  const size_t base_views = ViewStore::GlobalLiveViews();
+  int failures = 0;
+  for (int i = 0; i < 15; ++i) {
+    auto result = prepared->Execute(DeltaRequest(*base));
+    if (!result.ok()) {
+      ++failures;
+    } else {
+      ExpectResultsMatch(result->results, oracle->results, 0.0,
+                         "injected-but-ok refresh " + std::to_string(i));
+    }
+    EXPECT_EQ(ViewStore::GlobalLiveViews(), base_views) << "iteration " << i;
+  }
+  Failpoints::Clear();
+  Failpoints::ClearParked();
+  auto clean = prepared->Execute(DeltaRequest(*base));
+  ASSERT_TRUE(clean.ok()) << clean.status().ToString();
+  ExpectResultsMatch(clean->results, oracle->results, 0.0,
+                     "clean refresh after ambient sweep (" +
+                         std::to_string(failures) + "/15 runs failed)");
 }
 
 }  // namespace

@@ -11,8 +11,8 @@
 /// prints the first differing (key, slot) entries of the offending query,
 /// while `LMFAO_REPRO_TRACE` scopes every assertion with the RNG seed and
 /// mutation schedule needed to replay the exact failing run. The request
-/// shorthands at the end build the delta and sharded ExecRequests those
-/// suites compare.
+/// shorthand at the end builds the delta ExecRequests those suites
+/// compare.
 
 #ifndef LMFAO_TESTS_DIFFERENTIAL_HARNESS_H_
 #define LMFAO_TESTS_DIFFERENTIAL_HARNESS_H_
@@ -150,19 +150,12 @@ inline void ExpectResultsMatch(const std::vector<QueryResult>& got,
   }
 }
 
-/// Request shorthands for the delta and sharded suites: a refresh of `base`
-/// (which must outlive the call) to the current epoch, and a `shards`-way
-/// sharded execution.
+/// Request shorthand for the delta suites: a refresh of `base` (which must
+/// outlive the call) to the current epoch.
 inline ExecRequest DeltaRequest(const BatchResult& base,
                                 ParamPack params = {}) {
   ExecRequest request(std::move(params));
   request.delta_base = &base;
-  return request;
-}
-
-inline ExecRequest ShardedRequest(int shards, ParamPack params = {}) {
-  ExecRequest request(std::move(params));
-  request.shards = shards;
   return request;
 }
 

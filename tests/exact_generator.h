@@ -1,12 +1,12 @@
 /// \file exact_generator.h
 /// \brief Shared randomized *integer-exact* workload generator for the
-/// differential suites (delta_execution_test, dist_execution_test).
+/// differential suite (delta_execution_test).
 ///
 /// Emits random acyclic databases whose every column (double columns
 /// included) holds small integers, so all aggregate sums are exact in
 /// double precision and bit-for-bit (rel_tol = 0.0) comparisons are
 /// meaningful across summation orders — full recompute vs base+delta vs
-/// per-shard partials vs the scan baseline.
+/// the scan baseline.
 
 #ifndef LMFAO_TESTS_EXACT_GENERATOR_H_
 #define LMFAO_TESTS_EXACT_GENERATOR_H_

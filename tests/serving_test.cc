@@ -772,36 +772,63 @@ TEST(ServingTest, ReservationClampKeepsAGeneralWorker) {
   server.Shutdown();
 }
 
-/// Request::shards routes a prepared execute through the sharded
-/// distributed path; on the integer-exact db the response must be
-/// bit-for-bit the unsharded one.
-TEST(ServingTest, ShardedPreparedRequestMatchesUnsharded) {
+/// Request::shards is ignored: a request that sets it is answered
+/// bit-for-bit like a plain one and coalesces with queued plain requests.
+TEST(ServingTest, ShardsFieldIsIgnoredAndCoalescesWithPlainRequests) {
   FailpointGuard guard;
   Failpoints::Clear();
 
   ExactServingDb db = MakeExactServingDb(0xd157);
   Engine engine(&db.catalog, &db.tree, EngineOptions{});
-  Server server(&engine, &db.catalog, ServerOptions{});
+  ServerOptions options;
+  options.num_workers = 1;
+  Server server(&engine, &db.catalog, options);
   ASSERT_TRUE(server.RegisterBatch("exact", MakeExactServingBatch(db)).ok());
 
   Response plain = server.Submit(PreparedRequest()).get();
   ASSERT_TRUE(plain.status.ok()) << plain.status.ToString();
+  Request alone = PreparedRequest();
+  alone.shards = 3;
+  Response with_shards = server.Submit(std::move(alone)).get();
+  ASSERT_TRUE(with_shards.status.ok()) << with_shards.status.ToString();
+  EXPECT_EQ(with_shards.epoch.rows, plain.epoch.rows);
+  ExpectResultsMatch(with_shards.results, plain.results, 0.0,
+                     "request with shards set vs plain request");
 
-  Request sharded_req = PreparedRequest();
-  sharded_req.shards = 3;
-  Response sharded = server.Submit(std::move(sharded_req)).get();
-  ASSERT_TRUE(sharded.status.ok()) << sharded.status.ToString();
-  ExpectResultsMatch(sharded.results, plain.results, 0.0,
-                     "sharded prepared request");
+  // Queued behind an occupied worker, a plain request and one with shards
+  // set share one execution.
+  ASSERT_TRUE(Failpoints::Configure("engine.sorted_cache=delay:40", 1).ok());
+  std::future<Response> occupier = server.Submit(PreparedRequest());
+  for (int spin = 0; Failpoints::Hits("engine.sorted_cache") == 0; ++spin) {
+    ASSERT_LT(spin, 20000) << "worker never reached the stalled seam";
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  std::future<Response> first = server.Submit(PreparedRequest());
+  Request twin = PreparedRequest();
+  twin.shards = 2;
+  std::future<Response> second = server.Submit(std::move(twin));
+  Failpoints::Clear();
+
+  ASSERT_TRUE(occupier.get().status.ok());
+  Response a = first.get();
+  Response b = second.get();
+  ASSERT_TRUE(a.status.ok()) << a.status.ToString();
+  ASSERT_TRUE(b.status.ok()) << b.status.ToString();
+  EXPECT_EQ(b.epoch.rows, a.epoch.rows);
+  ExpectResultsMatch(b.results, a.results, 0.0,
+                     "coalesced request with shards set");
+  ExpectResultsMatch(a.results, plain.results, 0.0,
+                     "coalesced plain request vs the first one");
   server.Shutdown();
+  EXPECT_EQ(server.stats().of(RequestClass::kPreparedExecute).coalesced, 1u);
 }
 
 /// Coalescing: a successful plain prepared execution also answers the
-/// identical requests queued before it started (same batch and shard
-/// count); a request admitted after it started, a different shard count
-/// or a request whose deadline already passed is not folded in. Every
-/// shared response must still equal a fresh execution at its epoch, and a
-/// queued ad-hoc request goes before the next prepared execution.
+/// identical requests queued before it started (same batch); a request
+/// admitted after it started, one for another batch or one whose deadline
+/// already passed is not folded in. Every shared response must still equal
+/// a fresh execution at its epoch, and a queued ad-hoc request goes before
+/// the next prepared execution.
 TEST(ServingTest, QueuedIdenticalPreparedRequestsShareOneExecution) {
   FailpointGuard guard;
   Failpoints::Clear();
@@ -813,6 +840,7 @@ TEST(ServingTest, QueuedIdenticalPreparedRequestsShareOneExecution) {
   Server server(&engine, &db.catalog, options);
   const QueryBatch batch = MakeExactServingBatch(db);
   ASSERT_TRUE(server.RegisterBatch("exact", batch).ok());
+  ASSERT_TRUE(server.RegisterBatch("later", batch).ok());
 
   // Pin the only worker inside an occupying request, so everything below
   // is admitted after the occupier was picked up.
@@ -823,15 +851,13 @@ TEST(ServingTest, QueuedIdenticalPreparedRequestsShareOneExecution) {
     std::this_thread::sleep_for(std::chrono::microseconds(100));
   }
 
-  std::vector<std::future<Response>> plain, sharded;
+  std::vector<std::future<Response>> plain, later;
   for (int i = 0; i < 4; ++i) plain.push_back(server.Submit(PreparedRequest()));
   Request doomed = PreparedRequest();
   doomed.deadline_seconds = 1e-4;
   std::future<Response> doomed_future = server.Submit(std::move(doomed));
   for (int i = 0; i < 2; ++i) {
-    Request req = PreparedRequest();
-    req.shards = 2;
-    sharded.push_back(server.Submit(std::move(req)));
+    later.push_back(server.Submit(PreparedRequest("later")));
   }
   Request adhoc;
   adhoc.cls = RequestClass::kAdHoc;
@@ -844,7 +870,7 @@ TEST(ServingTest, QueuedIdenticalPreparedRequestsShareOneExecution) {
   auto prepared = engine.Prepare(batch);
   ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
   std::vector<Response> responses;
-  for (auto* group : {&plain, &sharded}) {
+  for (auto* group : {&plain, &later}) {
     for (auto& f : *group) {
       Response resp = f.get();
       ASSERT_TRUE(resp.status.ok()) << resp.status.ToString();
@@ -855,13 +881,13 @@ TEST(ServingTest, QueuedIdenticalPreparedRequestsShareOneExecution) {
       responses.push_back(std::move(resp));
     }
   }
-  // One execution answered the four plain requests, one the two sharded.
+  // One execution answered the four plain requests, one the two later.
   for (size_t i = 1; i < 4; ++i) {
     EXPECT_EQ(responses[i].epoch.rows, responses[0].epoch.rows);
     EXPECT_EQ(responses[i].retries, 0);
   }
   // Admitted last but popped right after the coalesced plain execution,
-  // ahead of the sharded requests: it waited less than they did.
+  // ahead of the later requests: it waited less than they did.
   Response adhoc_resp = adhoc_future.get();
   ASSERT_TRUE(adhoc_resp.status.ok()) << adhoc_resp.status.ToString();
   EXPECT_LT(adhoc_resp.queue_seconds, responses[4].queue_seconds);
